@@ -1,0 +1,9 @@
+"""Make the benchmark modules and the magrep sources importable.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
