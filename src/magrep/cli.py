@@ -1,9 +1,10 @@
 """Command-line front end: pair generation, chain studies and parameter sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (trace
-drift), 4 I/O error. CSV output is UTF-8, comma-separated, LF-terminated,
-with a header row and 9 significant digits; identical configurations produce
-byte-identical files.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (an
+integrated state lost finiteness, trace, Hermiticity or positivity), 4 I/O
+error. CSV output is UTF-8, comma-separated, LF-terminated, with a header row
+and 9 significant digits; identical configurations produce byte-identical
+files.
 """
 from __future__ import annotations
 
@@ -238,9 +239,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_sweep_values(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--sweep-values must be finite, got {raw!r}")
+    return values
 
 
 def exit_code_for(exc: BaseException) -> int:

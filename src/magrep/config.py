@@ -95,11 +95,14 @@ KNOWN_KEYS = frozenset(_FREQ_KEYS) | set(_TIME_KEYS) | set(_FRACTION_KEYS) \
     | set(_COUNT_KEYS) | set(_NAME_KEYS) | {"alpha", "span"}
 
 
-def _parse_number(token: str, where: str) -> float:
+def _parse_number(token: str, key: str, where: str) -> float:
     try:
-        return float(token)
+        v = float(token)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {token!r} as a number") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: {key} must be finite, got {token!r}")
+    return v
 
 
 def _parse_value(key: str, value: str, unit: str | None, where: str):
@@ -109,35 +112,35 @@ def _parse_value(key: str, value: str, unit: str | None, where: str):
         mult = _FREQ_UNITS.get(unit.lower())
         if mult is None:
             raise ConfigError(f"{where}: {key} takes GHz or MHz, not {unit!r}")
-        v = _parse_number(value, where)
+        v = _parse_number(value, key, where)
         if v < 0:
             raise ConfigError(f"{where}: {key} must be >= 0")
         return TWO_PI * v * mult
     if key in _TIME_KEYS:
         if unit is None or unit.lower() not in _TIME_UNITS:
             raise ConfigError(f"{where}: {key} needs the ns unit suffix")
-        v = _parse_number(value, where)
+        v = _parse_number(value, key, where)
         if v <= 0:
             raise ConfigError(f"{where}: {key} must be > 0")
         return v * _TIME_UNITS[unit.lower()]
     if key == "span":
         if unit is None or unit.lower() not in _LENGTH_UNITS:
             raise ConfigError(f"{where}: span takes km or cm, got {unit!r}")
-        v = _parse_number(value, where)
+        v = _parse_number(value, key, where)
         if v <= 0:
             raise ConfigError(f"{where}: span must be > 0")
         return v * _LENGTH_UNITS[unit.lower()]
     if key == "alpha":
         if unit is None or unit.lower() not in _ATTEN_UNITS:
             raise ConfigError(f"{where}: alpha takes dB_per_km or dB_per_cm, got {unit!r}")
-        v = _parse_number(value, where)
+        v = _parse_number(value, key, where)
         if v < 0:
             raise ConfigError(f"{where}: alpha must be >= 0")
         return v * _ATTEN_UNITS[unit.lower()]
     if unit is not None:
         raise ConfigError(f"{where}: {key} takes no unit suffix, got {unit!r}")
     if key in _FRACTION_KEYS:
-        v = _parse_number(value, where)
+        v = _parse_number(value, key, where)
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{where}: {key}={v} outside [0, 1]")
         return v

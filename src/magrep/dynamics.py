@@ -16,7 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import DensityMatrix, HilbertSpec, basis_ket, concurrence, fidelity, kron
+from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this binding)
+    HERMITIAN_TOL,
+    PSD_TOL,
+    DensityMatrix,
+    HilbertSpec,
+    basis_ket,
+    concurrence,
+    concurrences,
+    fidelity,
+    kron,
+)
 
 TWO_PI = 2.0 * math.pi
 HBAR = 1.054571817e-34  # J s
@@ -33,7 +43,7 @@ TRACE_DRIFT_LIMIT = 1e-6
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator violates trace preservation; never silently fixed."""
+    """An integrated state lost finiteness, trace, Hermiticity or positivity; never repaired."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,9 @@ class LindbladParams:
 
     def __post_init__(self) -> None:
         for name in ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.dim_c < 2 or self.dim_m < 2:
             raise ValueError("mode truncations dim_c, dim_m must be >= 2")
 
@@ -102,9 +113,9 @@ class EvolutionTrace:
     concurrences: np.ndarray | None
     populations: np.ndarray
     final_state: DensityMatrix
-    trace_errors: np.ndarray | None = field(repr=False, default=None)
-    herm_errors: np.ndarray | None = field(repr=False, default=None)
-    min_eigenvalues: np.ndarray | None = field(repr=False, default=None)
+    trace_errors: np.ndarray = field(repr=False)
+    herm_errors: np.ndarray = field(repr=False)
+    min_eigenvalues: np.ndarray = field(repr=False)
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -213,14 +224,28 @@ def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
     return _STEP_PHASE_BUDGET / scale
 
 
-def _liouvillian(h: np.ndarray, collapses, dim: int) -> np.ndarray:
-    """Generator as a dim^2 x dim^2 matrix, built column-wise from lindblad_rhs."""
-    ops = _collapse_matrices(collapses)
-    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim * dim):
-        basis = np.zeros((dim, dim), dtype=complex)
-        basis.flat[k] = 1.0
-        sup[:, k] = lindblad_rhs(basis, h, ops).reshape(-1)
+def _jump_stack(p: LindbladParams) -> np.ndarray:
+    """The collapse operators of :func:`collapse_operators` as one ``(K, D, D)`` array."""
+    return np.array([op for op, _ in collapse_operators(p)])
+
+
+def _effective_hamiltonian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """H_eff = H - (i/2) sum_k C_k^dag C_k, the non-Hermitian no-jump generator."""
+    return h - 0.5j * (jumps.conj().swapaxes(1, 2) @ jumps).sum(axis=0)
+
+
+def _liouvillian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Generator as a D^2 x D^2 matrix acting on the row-major vec of rho.
+
+    Closed Kronecker form from vec(A X B) = (A kron B^T) vec(X) (Havel,
+    J. Math. Phys. 44, 534 (2003)):
+    L = -i H_eff kron I + i I kron conj(H_eff) + sum_k C_k kron conj(C_k).
+    """
+    h_eff = _effective_hamiltonian(h, jumps)
+    eye = np.eye(h.shape[0])
+    sup = -1j * np.kron(h_eff, eye) + 1j * np.kron(eye, h_eff.conj())
+    for c in jumps:
+        sup += np.kron(c, c.conj())
     return sup
 
 
@@ -239,6 +264,120 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return eye + a @ m
 
 
+# Propagation cost model, in complex multiply-adds. One numpy call costs
+# about as much as _CALL_COST of them on small operands (single-threaded
+# BLAS), so at small D the number of calls matters more than the flops.
+_CALL_COST = 6000
+# Horner stages of the RK4 polynomial; see rk4_step_matrix.
+_HORNER = (4.0, 3.0, 2.0, 1.0)
+
+
+def _block_plan(d2: int, length: int, uses: int) -> tuple[float, bool]:
+    """Cost of ``uses`` advances by ``length`` steps, and whether S^length pays.
+
+    S^length comes from repeated squaring (numpy's matrix_power): one matmul
+    per squaring and one per extra set bit. Stepping costs one matvec a step.
+    """
+    matvec = d2 * d2 + _CALL_COST
+    stepping = uses * length * matvec
+    matmuls = length.bit_length() - 1 + bin(length).count("1") - 1
+    power = matmuls * (d2**3 + _CALL_COST) + uses * matvec
+    return min(stepping, power), power < stepping
+
+
+def _segments(n_steps: int, record_every: int) -> list[int]:
+    """Step counts between consecutive records; the last one ends at n_steps."""
+    full, rest = divmod(n_steps, record_every)
+    return [record_every] * full + ([rest] if rest else [])
+
+
+def _dense_cost(dim: int, segments: list[int]) -> float:
+    d2 = dim * dim
+    build = 3 * (d2**3 + _CALL_COST)  # the three matmuls of rk4_step_matrix
+    return build + sum(_block_plan(d2, n, segments.count(n))[0] for n in set(segments))
+
+
+def _matrix_free_cost(dim: int, n_jumps: int, n_steps: int) -> float:
+    # Per Horner stage: a stacked (K+2)-term matmul each side, plus an add.
+    stage = 2 * (n_jumps + 2) * dim**3 + 3 * _CALL_COST
+    return n_steps * len(_HORNER) * stage
+
+
+def _propagate_dense(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, dt: float,
+                     segments: list[int]) -> np.ndarray:
+    """Records of the dense D^2 x D^2 RK4 step, advanced by S^r where that pays."""
+    step = rk4_step_matrix(_liouvillian(h, jumps), dt)
+    d2 = step.shape[0]
+    blocks = {}
+    for n in set(segments):
+        if _block_plan(d2, n, segments.count(n))[1]:
+            blocks[n] = np.linalg.matrix_power(step, n)
+    out = np.empty((len(segments) + 1, d2), dtype=complex)
+    out[0] = v = rho.reshape(-1)
+    for i, n in enumerate(segments, start=1):
+        if n in blocks:
+            v = blocks[n] @ v
+        else:
+            for _ in range(n):
+                v = step @ v
+        out[i] = v
+    return out.reshape(-1, *rho.shape)
+
+
+def _propagate_matrix_free(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, dt: float,
+                           segments: list[int]) -> np.ndarray:
+    """Records of the RK4 step applied to the D x D state; no superoperator is built.
+
+    L(m) = A m + m A^dag + sum_k C_k m C_k^dag with A = -i H_eff is two matmuls
+    over a stacked batch: m @ [I, A^dag, C_k^dag] and then the row block
+    [A, I, C_k] times those products stacked. The step is the polynomial of
+    rk4_step_matrix in Horner form, x <- m + (dt/j) L(x) for j = 4, 3, 2, 1.
+    """
+    d = rho.shape[0]
+    a = -1j * _effective_hamiltonian(h, jumps)
+    eye = np.eye(d, dtype=complex)
+    rights = np.concatenate([eye[None], a.conj().T[None], jumps.conj().swapaxes(1, 2)])
+    left = np.concatenate([a, eye, *jumps], axis=1)
+    lefts = [left * (dt / j) for j in _HORNER]
+    out = np.empty((len(segments) + 1, d, d), dtype=complex)
+    out[0] = m = rho
+    for i, n in enumerate(segments, start=1):
+        for _ in range(n):
+            x = m
+            for scaled in lefts:
+                x = m + scaled @ (x @ rights).reshape(-1, d)
+            m = x
+        out[i] = m
+    return out
+
+
+def _check_records(states: np.ndarray, times: np.ndarray, psd_floor: float):
+    """Batched invariant checks on every recorded state; the earliest failure raises.
+
+    Every comparison is written so that NaN fails it. Returns the trace
+    errors, Hermiticity errors and minimum eigenvalues per record.
+    """
+    finite = np.isfinite(states).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], states, 0.0)
+    adjoint = safe.conj().swapaxes(1, 2)
+    tr_err = np.abs(np.trace(safe, axis1=1, axis2=2) - 1.0)
+    herm_err = np.max(np.abs(safe - adjoint), axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(0.5 * (safe + adjoint))[:, 0]
+    checks = (
+        (finite, "non-finite state entry, largest magnitude",
+         np.max(np.abs(states), axis=(1, 2))),
+        (tr_err <= TRACE_DRIFT_LIMIT, "trace drifted by", tr_err),
+        (herm_err <= HERMITIAN_TOL, "matrix not Hermitian: max deviation", herm_err),
+        (min_eig >= psd_floor, "matrix not positive semidefinite: min eigenvalue", min_eig),
+    )
+    ok = np.logical_and.reduce([passed for passed, _, _ in checks])
+    if not ok.all():
+        k = int(np.argmin(ok))
+        _, what, values = next(c for c in checks if not c[0][k])
+        raise IntegrationError(f"{what} {values[k]:.3e} at t={times[k]:.3e} s; refusing to repair")
+    return tr_err, herm_err, min_eig
+
+
 def evolve(
     rho0: DensityMatrix,
     p: LindbladParams,
@@ -251,9 +390,17 @@ def evolve(
 
     Fixed-step classical 4th-order integration; the requested ``dt`` is
     shrunk minimally so an integral number of steps lands exactly on
-    ``t_final``. Every recorded state is re-validated as a DensityMatrix;
-    trace drift beyond 1e-6 raises :class:`IntegrationError` instead of being
-    renormalized away.
+    ``t_final``. The step is the dense D^2 x D^2 RK4 matrix, advanced from
+    record to record by its power where that is cheaper, or the same step
+    applied to the D x D state without a superoperator, whichever the cost
+    model rates cheaper for this D and step count.
+
+    Every recorded state is checked: entries finite, trace within 1e-6 of 1,
+    Hermitian within 1e-9 and eigenvalues >= -1e-7 (>= -1e-9 for two qubits,
+    where the concurrence needs it). A failure raises
+    :class:`IntegrationError` naming the check, the value and the time; no
+    state is renormalized. Only the returned final state is built as a
+    :class:`DensityMatrix`.
     """
     space = node_space(p)
     if rho0.space != space:
@@ -268,48 +415,28 @@ def evolve(
         raise ValueError("record_every must be >= 1")
 
     h = _hamiltonian_for(p, hamiltonian)
+    jumps = _jump_stack(p)
     dim = space.dim
     n_steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt_used = t_final / n_steps
-    step = rk4_step_matrix(_liouvillian(h, collapse_operators(p), dim), dt_used)
+    segments = _segments(n_steps, record_every)
+    if _dense_cost(dim, segments) <= _matrix_free_cost(dim, len(jumps), n_steps):
+        states = _propagate_dense(rho0.matrix, h, jumps, dt_used, segments)
+    else:
+        states = _propagate_matrix_free(rho0.matrix, h, jumps, dt_used, segments)
+    times = np.cumsum([0, *segments]) * dt_used
 
     track_concurrence = p.dim_c == 2 and p.dim_m == 2
-    times, concs, pops = [], [], []
-    tr_errs, herm_errs, min_eigs = [], [], []
-    final_state = rho0
-
-    def record(step_index: int, vec: np.ndarray) -> DensityMatrix:
-        m = vec.reshape(dim, dim)
-        tr_err = abs(m.trace() - 1.0)
-        if tr_err > TRACE_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"trace drifted by {tr_err:.3e} at t={step_index * dt_used:.3e} s; refusing to renormalize"
-            )
-        state = DensityMatrix(space, m, psd_tol=_EVOLVE_PSD_TOL)
-        times.append(step_index * dt_used)
-        tr_errs.append(float(tr_err))
-        herm_errs.append(float(np.max(np.abs(m - m.conj().T))))
-        min_eigs.append(float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]))
-        pops.append(np.real(np.diag(m)).copy())
-        if track_concurrence:
-            concs.append(concurrence(state))
-        return state
-
-    v = rho0.matrix.reshape(-1).astype(complex)
-    final_state = record(0, v)
-    for k in range(1, n_steps + 1):
-        v = step @ v
-        if k % record_every == 0 or k == n_steps:
-            final_state = record(k, v)
-
+    psd_floor = -PSD_TOL if track_concurrence else -_EVOLVE_PSD_TOL
+    tr_errs, herm_errs, min_eigs = _check_records(states, times, psd_floor)
     return EvolutionTrace(
-        times=np.asarray(times),
-        concurrences=np.asarray(concs) if track_concurrence else None,
-        populations=np.asarray(pops),
-        final_state=final_state,
-        trace_errors=np.asarray(tr_errs),
-        herm_errors=np.asarray(herm_errs),
-        min_eigenvalues=np.asarray(min_eigs),
+        times=times,
+        concurrences=concurrences(states) if track_concurrence else None,
+        populations=np.diagonal(states, axis1=1, axis2=2).real.copy(),
+        final_state=DensityMatrix(space, states[-1], psd_tol=_EVOLVE_PSD_TOL),
+        trace_errors=tr_errs,
+        herm_errors=herm_errs,
+        min_eigenvalues=min_eigs,
     )
 
 

@@ -30,6 +30,7 @@ ID2 = _readonly(np.eye(2, dtype=complex))
 PAULI_X = _readonly(np.array([[0, 1], [1, 0]], dtype=complex))
 PAULI_Y = _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _readonly(np.array([[1, 0], [0, -1]], dtype=complex))
+_YY = _readonly(np.kron(PAULI_Y, PAULI_Y))
 
 BELL_LABELS = ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
 
@@ -222,27 +223,35 @@ def embed(op, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:
     return t.reshape(space.dim, space.dim)
 
 
+def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a Hermitian matrix, or of each in an ``(n, d, d)`` stack.
+
+    The Hermiticity check (1e-9) is written so that NaN fails it.
+    """
+    dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
+    return np.linalg.eigh(m)
+
+
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and eigenvector columns of a Hermitian matrix."""
-    m = as_matrix(m)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    evals, vecs = np.linalg.eigh(m)
+    evals, vecs = _checked_eigh(as_matrix(m))
     return evals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix.
+    """Principal square root of a Hermitian positive-semidefinite matrix, or of each in a stack.
 
     Eigenvalues below -1e-9 are rejected; tiny negatives inside the tolerance
     window are clamped to zero rather than propagated into the square root.
     """
-    evals, vecs = hermitian_eig(m)
-    if evals[-1] < -PSD_TOL:
-        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {evals[-1]:.3e}")
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+    evals, vecs = _checked_eigh(as_matrix(m))
+    low = evals[..., 0].min()
+    if not low >= -PSD_TOL:
+        raise ValueError(f"matrix not positive semidefinite: min eigenvalue {low:.3e}")
+    root = np.sqrt(np.maximum(evals, 0.0))
+    return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def bell_state(kind: str, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
@@ -265,22 +274,28 @@ def werner_state(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMat
     return DensityMatrix(singlet.space, m)
 
 
-def concurrence(rho) -> float:
-    """Two-qubit concurrence, 0 (separable) to 1 (maximally entangled).
+def concurrences(rhos) -> np.ndarray:
+    """Two-qubit concurrence of each state in an ``(n, 4, 4)`` stack, each in [0, 1].
 
-    Uses the Hermitian form sqrt(sqrt(rho) rho_tilde sqrt(rho)) so only real
-    symmetric eigensolvers are ever needed; the result is clamped to [0, 1].
+    Wootters' formula in the Hermitian form sqrt(sqrt(rho) rho_tilde sqrt(rho)),
+    so only Hermitian eigensolvers are needed. Every state must be Hermitian
+    (1e-9) and positive semidefinite (eigenvalues >= -1e-9); negatives inside
+    that window are clamped to zero.
     """
-    m = as_matrix(rho)
-    if m.shape != (4, 4):
-        raise ValueError(f"concurrence requires a two-qubit (4x4) state, got {m.shape}")
-    yy = kron(PAULI_Y, PAULI_Y)
-    rho_tilde = yy @ m.conj() @ yy
+    m = np.asarray(rhos, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"concurrence requires two-qubit (4x4) states, got {m.shape[1:]}")
+    rho_tilde = _YY @ m.conj() @ _YY
     s = matrix_sqrt_psd(m)
-    lam_sq, _ = hermitian_eig(s @ rho_tilde @ s)
-    lam = np.sqrt(np.clip(lam_sq, 0.0, None))
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(1.0, max(0.0, c)))
+    lam_sq, _ = _checked_eigh(s @ rho_tilde @ s)
+    lam = np.sqrt(np.maximum(lam_sq, 0.0))
+    c = lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]
+    return np.clip(c, 0.0, 1.0)
+
+
+def concurrence(rho) -> float:
+    """Two-qubit concurrence, 0 (separable) to 1 (maximally entangled)."""
+    return float(concurrences(as_matrix(rho)[None])[0])
 
 
 def fidelity(rho, sigma) -> float:

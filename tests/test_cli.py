@@ -191,6 +191,13 @@ class TestSweepCommand:
     def test_unparseable_values(self):
         assert main(["sweep", "--sweep-axis", "mux", "--sweep-values", "a,b"]) == 2
 
+    def test_non_finite_values_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep-axis", "length", "--sweep-values", "inf",
+                     "--out", str(out)]) == 2
+        assert "--sweep-values" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestConfigIntegration:
     def test_config_file_drives_run(self, tmp_path):
@@ -215,6 +222,13 @@ class TestConfigIntegration:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp_factor = 9\n")
         assert main(["chain", "--config", str(cfg)]) == 2
+
+    def test_unstable_step_exits_with_numerical_failure(self, tmp_path, capsys):
+        # dt far beyond the RK4 stability limit: positivity is lost in the first step
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 5 ns\nt_final = 100 ns\n")
+        assert main(["pair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "positive semidefinite" in capsys.readouterr().err
 
 
 class TestDeterminismAndErrors:

@@ -90,6 +90,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_text("p_link = often\n")
 
+    @pytest.mark.parametrize("line, key", [
+        ("g_mc = nan MHz", "g_mc"), ("t_final = nan ns", "t_final"), ("span = inf km", "span"),
+    ])
+    def test_non_finite_value_names_key(self, line, key):
+        with pytest.raises(ConfigError, match=f":1: {key} must be finite"):
+            parse_config_text(line + "\n")
+
     def test_builtin_scenario_reference(self):
         cfg = parse_config_text("scenario = Metro-B\n")
         assert cfg.scenario == BUILTIN_SCENARIOS["metro-b"]

@@ -6,6 +6,7 @@ import pytest
 
 from magrep.dynamics import (
     HBAR,
+    IntegrationError,
     LindbladParams,
     MaterialParams,
     TWO_PI,
@@ -23,9 +24,17 @@ from magrep.dynamics import (
     pair_generation_time,
     rk4_step_matrix,
     target_pair_state,
+    _check_records,
+    _dense_cost,
+    _jump_stack,
+    _liouvillian,
+    _matrix_free_cost,
+    _propagate_dense,
+    _propagate_matrix_free,
+    _segments,
 )
 from magrep.qcore import basis_ket, fidelity, kron
-from conftest import ginibre_matrix
+from conftest import ginibre_matrix, single_excitation_block
 
 MU0 = 1.25663706212e-6
 GAMMA_E = TWO_PI * 28.0249514242e9  # electron gyromagnetic ratio, rad/(s T)
@@ -49,6 +58,12 @@ class TestParams:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="kappa_d"):
             LindbladParams(kappa_d=-1.0)
+
+    def test_non_finite_rate_rejected(self):
+        with pytest.raises(ValueError, match="g_mc must be finite"):
+            LindbladParams(g_mc=float("nan"))
+        with pytest.raises(ValueError, match="kappa_d must be finite"):
+            LindbladParams(kappa_d=float("inf"))
 
     def test_truncation_bounds(self):
         with pytest.raises(ValueError, match="truncations"):
@@ -255,15 +270,13 @@ class TestEvolve:
         k4 = lindblad_rhs(rho + dt * k3, h, ops)
         expected = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        from magrep.dynamics import _liouvillian
-
-        step = rk4_step_matrix(_liouvillian(h, ops, 4), dt)
+        step = rk4_step_matrix(_liouvillian(h, _jump_stack(p)), dt)
         got = (step @ rho.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_unstable_step_is_caught_by_validation(self):
         p = LindbladParams()
-        with pytest.raises(ValueError, match="positive semidefinite"):
+        with pytest.raises(IntegrationError, match="positive semidefinite"):
             evolve(initial_pair_state(p), p, 1e-6, dt=1e-6)
 
     def test_higher_truncation_drops_concurrence(self):
@@ -292,6 +305,92 @@ class TestEvolve:
         frozen = ideal_params(g_mc=0.0)
         with pytest.raises(ValueError, match="default step"):
             default_step(frozen, "rwa")
+
+
+def _random_model(rng, dim: int, n_jumps: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Random Hermitian H and collapse operators at O(1) operator scale."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    jumps = rng.normal(size=(n_jumps, dim, dim)) + 1j * rng.normal(size=(n_jumps, dim, dim))
+    return g + g.conj().T, jumps / math.sqrt(dim)
+
+
+class TestPropagationCore:
+    @pytest.mark.parametrize("dim", [4, 9, 16, 25])
+    def test_closed_form_generator_matches_column_reference(self, rng, dim):
+        h, jumps = _random_model(rng, dim)
+        reference = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for k in range(dim * dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit.flat[k] = 1.0
+            reference[:, k] = lindblad_rhs(unit, h, list(jumps)).reshape(-1)
+        gen = _liouvillian(h, jumps)
+        assert np.max(np.abs(gen - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_matrix_free_step_matches_dense_step(self, rng):
+        dim = 9
+        h, jumps = _random_model(rng, dim)
+        rho = ginibre_matrix(rng, dim)
+        segments = _segments(40, 7)
+        dense = _propagate_dense(rho, h, jumps, 0.01, segments)
+        free = _propagate_matrix_free(rho, h, jumps, 0.01, segments)
+        assert dense.shape == free.shape == (len(segments) + 1, dim, dim)
+        assert np.max(np.abs(dense - free)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_rwa_pair_stays_in_single_excitation_block(self, dim):
+        # RWA conserves excitation number, so the exact two-level-block solution
+        # holds at any truncation; dims 4 and 5 take the matrix-free path.
+        p = LindbladParams(dim_c=dim, dim_m=dim)
+        state, _ = generate_bell_pair(p)
+        t = pair_generation_time(p)
+        aa, bb, ab = single_excitation_block(p.g_mc, p.kappa_d, p.gamma_d,
+                                             p.kappa_phi, p.gamma_phi, [t])
+        a, b = 1, dim  # |0_m 1_c> and |1_m 0_c> in the basis n_m * dim_c + n_c
+        exact = np.zeros((dim * dim, dim * dim), dtype=complex)
+        exact[a, a], exact[b, b], exact[a, b] = aa[0], bb[0], ab[0]
+        exact[b, a] = np.conj(ab[0])
+        exact[0, 0] = 1.0 - aa[0] - bb[0]
+        assert np.max(np.abs(state.matrix - exact)) <= 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_propagation_matches_stepping(self, dim):
+        p = LindbladParams(dim_c=dim, dim_m=dim)
+        t = pair_generation_time(p)
+        n_steps = math.ceil(t / default_step(p, "full") - 1e-9)
+        record_every = n_steps // 64
+        trace = evolve(initial_pair_state(p), p, t, record_every=record_every,
+                       hamiltonian="full")
+        step = rk4_step_matrix(_liouvillian(build_full_hamiltonian(p), _jump_stack(p)),
+                               t / n_steps)
+        v = initial_pair_state(p).matrix.reshape(-1)
+        stepped = [v]
+        for k in range(1, n_steps + 1):
+            v = step @ v
+            if k % record_every == 0 or k == n_steps:
+                stepped.append(v)
+        assert len(stepped) == len(trace.times)
+        stepped_pops = np.array([np.diag(x.reshape(dim * dim, -1)).real for x in stepped])
+        assert np.max(np.abs(trace.populations - stepped_pops)) <= 1e-11
+        assert np.max(np.abs(trace.final_state.matrix - stepped[-1].reshape(dim * dim, -1))) <= 1e-11
+
+    def test_cost_model_picks_the_measured_faster_path(self):
+        # RWA pair: 158 steps recorded every 2; full Hamiltonian: 24,481 every 382
+        rwa, full = _segments(158, 2), _segments(24481, 382)
+        assert _dense_cost(9, rwa) < _matrix_free_cost(9, 4, 158)
+        assert _dense_cost(25, rwa) > _matrix_free_cost(25, 4, 158)
+        for dim in (4, 9, 16):
+            assert _dense_cost(dim, full) < _matrix_free_cost(dim, 4, 24481)
+
+    def test_record_checks_fail_on_nan_and_name_the_time(self):
+        states = np.array([np.eye(2, dtype=complex) / 2] * 3)
+        times = np.array([0.0, 1e-9, 2e-9])
+        _check_records(states, times, -1e-9)
+        states[2, 0, 1] = np.nan
+        with pytest.raises(IntegrationError, match="non-finite.*t=2.000e-09"):
+            _check_records(states, times, -1e-9)
+        states[1, 0, 1] = 1e-6
+        with pytest.raises(IntegrationError, match="not Hermitian.*t=1.000e-09"):
+            _check_records(states, times, -1e-9)
 
 
 class TestGenerateBellPair:
