@@ -17,7 +17,6 @@ def main() -> None:
           f"{'F_final':>8s} usable")
     for name in sorted(network.BUILTIN_SCENARIOS):
         cfg = RunConfig(
-            command="chain",
             scenario=network.BUILTIN_SCENARIOS[name],
             hops=args.hops,
             output_dir=f"{args.out}/{name}",

@@ -16,7 +16,6 @@ def main() -> None:
 
     values = [int(v) for v in args.channels.split(",")]
     cfg = RunConfig(
-        command="sweep",
         scenario=network.BUILTIN_SCENARIOS["chip-a"],
         hops=4,
         output_dir=args.out,

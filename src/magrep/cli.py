@@ -9,6 +9,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, network
-from .config import ConfigError, OUTPUT_FORMATS, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .dynamics import IntegrationError
 from .svgplot import LineChart
 
@@ -51,7 +52,7 @@ def _write_svg(path: Path, chart: LineChart) -> Path:
 
 
 def _ensure_out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
+    out = cfg.output_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -191,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="built-in scenario name (chip-a .. metro-c)")
         p.add_argument("--hops", type=int, help="number of chain hops")
         p.add_argument("--config", help="config file (key = value [unit] lines)")
-        p.add_argument("--seed", type=int, help="64-bit run seed")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--format", help="comma-separated outputs: csv,svg (default csv)")
         p.add_argument("--pclick-override", type=float, dest="pclick_override",
@@ -206,35 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with the given flags applied; RunConfig validates."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg.command = args.command
-    if args.scenario is not None:
-        try:
-            cfg.scenario = network.get_scenario(args.scenario)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if args.hops is not None:
-        if args.hops < 1:
-            raise ConfigError(f"hops must be >= 1, got {args.hops}")
-        cfg.hops = args.hops
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 bits, got {args.seed}")
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = Path(args.out)
-    if args.format is not None:
-        formats = tuple(f.strip().lower() for f in args.format.split(",") if f.strip())
-        bad = [f for f in formats if f not in OUTPUT_FORMATS]
-        if bad or not formats:
-            raise ConfigError(f"--format takes a non-empty subset of {OUTPUT_FORMATS}")
-        cfg.formats = formats
-    if args.pclick_override is not None:
-        if not 0.0 <= args.pclick_override <= 1.0:
-            raise ConfigError(f"--pclick-override outside [0, 1]: {args.pclick_override}")
-        cfg.pclick_override = args.pclick_override
-    cfg.ideal = bool(args.ideal)
-    return cfg
+    overrides = {
+        "scenario": None if args.scenario is None else network.get_scenario(args.scenario),
+        "hops": args.hops,
+        "output_dir": args.out,
+        "formats": None if args.format is None
+        else tuple(f.strip().lower() for f in args.format.split(",") if f.strip()),
+        "pclick_override": args.pclick_override,
+    }
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(cfg, ideal=args.ideal, **given)
 
 
 def _parse_sweep_values(raw: str) -> list[float]:

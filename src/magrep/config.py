@@ -13,8 +13,8 @@ attenuation up and the span down by 100, preserving the span loss product.
 
 Recognized keys:
 
-* run control: ``scenario`` (built-in name), ``hops``, ``seed``,
-  ``pclick_override``, ``p_link``, ``q_swap``, ``t_final``, ``dt``
+* run control: ``scenario`` (built-in name), ``hops``, ``pclick_override``,
+  ``p_link``, ``q_swap``, ``t_final``, ``dt``
 * node physics: ``omega_c``, ``omega_m``, ``g_mc``, ``kappa_d``,
   ``gamma_d``, ``kappa_phi``, ``gamma_phi``, ``dim_c``, ``dim_m``
 * inline scenario: ``scenario_name``, ``alpha``, ``span``, ``eta_read``,
@@ -35,7 +35,6 @@ from .network import BUILTIN_SCENARIOS, NoiseModel, ScenarioParams, get_scenario
 
 TWO_PI = 2.0 * math.pi
 
-COMMANDS = ("pair", "chain", "sweep")
 OUTPUT_FORMATS = ("csv", "svg")
 
 
@@ -43,16 +42,14 @@ class ConfigError(ValueError):
     """Unparseable or contradictory run configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one deterministic run needs."""
+    """Everything one deterministic run needs; the only validator of its values."""
 
-    command: str = "pair"
     scenario: ScenarioParams = field(default_factory=lambda: BUILTIN_SCENARIOS["chip-a"])
     hops: int = 4
     noise: NoiseModel = field(default_factory=NoiseModel)
     lindblad: LindbladParams = field(default_factory=LindbladParams)
-    seed: int = 0
     output_dir: Path = field(default_factory=lambda: Path("out"))
     formats: tuple[str, ...] = ("csv",)
     pclick_override: float | None = None
@@ -61,8 +58,6 @@ class RunConfig:
     dt: float | None = None  # seconds
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.hops < 1:
             raise ConfigError(f"hops must be >= 1, got {self.hops}")
         if not self.formats:
@@ -70,9 +65,9 @@ class RunConfig:
         bad = [f for f in self.formats if f not in OUTPUT_FORMATS]
         if bad:
             raise ConfigError(f"unknown output formats {bad}; valid: {OUTPUT_FORMATS}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
-        self.output_dir = Path(self.output_dir)
+        if self.pclick_override is not None and not 0.0 <= self.pclick_override <= 1.0:
+            raise ConfigError(f"pclick_override={self.pclick_override} outside [0, 1]")
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
 _FREQ_UNITS = {"ghz": 1e9, "mhz": 1e6}
@@ -84,7 +79,7 @@ _FREQ_KEYS = ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi", "
 _TIME_KEYS = ("t_final", "dt")
 _FRACTION_KEYS = ("eta_read", "eta_conv", "eta_extra", "eta_det", "eta_col",
                   "p_bsa", "p_link", "q_swap", "pclick_override")
-_COUNT_KEYS = {"hops": 1, "seed": 0, "dim_c": 2, "dim_m": 2, "m_mux": 1}
+_COUNT_KEYS = {"hops": 1, "dim_c": 2, "dim_m": 2, "m_mux": 1}
 _NAME_KEYS = ("scenario", "scenario_name")
 
 _INLINE_REQUIRED = ("alpha", "span", "eta_read", "eta_extra", "eta_det",
@@ -224,7 +219,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         hops=int(values.get("hops", 4)),
         noise=noise,
         lindblad=lindblad,
-        seed=int(values.get("seed", 0)),
         pclick_override=values.get("pclick_override"),
         t_final=values.get("t_final"),
         dt=values.get("dt"),

@@ -95,8 +95,9 @@ class MaterialParams:
     def __post_init__(self) -> None:
         for name in ("gyromagnetic_ratio", "vacuum_permeability", "total_spin",
                      "cavity_mode_volume", "omega_c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,43 +160,35 @@ def build_rwa_hamiltonian(p: LindbladParams) -> np.ndarray:
     return p.g_mc * (m_op.conj().T @ c_op + c_op.conj().T @ m_op)
 
 
-def collapse_operators(p: LindbladParams) -> list[tuple[np.ndarray, float]]:
-    """The four collapse operators with their rates, embedded on the joint space.
+def collapse_operators(p: LindbladParams) -> np.ndarray:
+    """The four collapse operators as one ``(K, D, D)`` stack on the joint space.
 
-    Returned matrices already carry the sqrt(rate) prefactor: cavity decay,
-    magnon decay, cavity dephasing (number operator), magnon dephasing.
+    Each already carries its sqrt(rate) prefactor: cavity decay, magnon decay,
+    cavity dephasing (number operator), magnon dephasing.
     """
     m_op, c_op = mode_operators(p)
     n_c = c_op.conj().T @ c_op
     n_m = m_op.conj().T @ m_op
-    return [
-        (math.sqrt(p.kappa_d) * c_op, p.kappa_d),
-        (math.sqrt(p.gamma_d) * m_op, p.gamma_d),
-        (math.sqrt(p.kappa_phi) * n_c, p.kappa_phi),
-        (math.sqrt(p.gamma_phi) * n_m, p.gamma_phi),
-    ]
+    return np.array([
+        math.sqrt(p.kappa_d) * c_op,
+        math.sqrt(p.gamma_d) * m_op,
+        math.sqrt(p.kappa_phi) * n_c,
+        math.sqrt(p.gamma_phi) * n_m,
+    ])
 
 
-def _collapse_matrices(collapses) -> list[np.ndarray]:
-    out = []
-    for item in collapses:
-        op = item[0] if isinstance(item, tuple) else item
-        out.append(np.asarray(op, dtype=complex))
-    return out
-
-
-def lindblad_rhs(rho, hamiltonian: np.ndarray, collapses) -> np.ndarray:
+def lindblad_rhs(rho, hamiltonian: np.ndarray, collapses: np.ndarray) -> np.ndarray:
     """Right-hand side of the master equation; trace-free for any input.
 
-    ``collapses`` may contain bare operator matrices or the (operator, rate)
-    pairs produced by :func:`collapse_operators`.
+    ``collapses`` is a ``(K, D, D)`` operator stack, as :func:`collapse_operators`
+    returns it.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != m.shape:
         raise ValueError(f"dimension mismatch: state {m.shape} vs hamiltonian {h.shape}")
     out = -1j * (h @ m - m @ h)
-    for op in _collapse_matrices(collapses):
+    for op in np.asarray(collapses, dtype=complex):
         if op.shape != m.shape:
             raise ValueError(f"dimension mismatch: state {m.shape} vs collapse {op.shape}")
         od = op.conj().T
@@ -222,11 +215,6 @@ def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
     if scale <= 0:
         raise ValueError("cannot choose a default step for an all-zero parameter set")
     return _STEP_PHASE_BUDGET / scale
-
-
-def _jump_stack(p: LindbladParams) -> np.ndarray:
-    """The collapse operators of :func:`collapse_operators` as one ``(K, D, D)`` array."""
-    return np.array([op for op, _ in collapse_operators(p)])
 
 
 def _effective_hamiltonian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -415,7 +403,7 @@ def evolve(
         raise ValueError("record_every must be >= 1")
 
     h = _hamiltonian_for(p, hamiltonian)
-    jumps = _jump_stack(p)
+    jumps = collapse_operators(p)
     dim = space.dim
     n_steps = max(1, math.ceil(t_final / dt - 1e-9))
     dt_used = t_final / n_steps

@@ -45,10 +45,10 @@ class ScenarioParams:
     m_mux: int
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"attenuation must be >= 0, got {self.alpha}")
-        if self.l_span <= 0:
-            raise ValueError(f"span length must be > 0, got {self.l_span}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha (attenuation) must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.l_span) and self.l_span > 0):
+            raise ValueError(f"l_span (span length) must be finite and > 0, got {self.l_span}")
         effs = {
             "eta_read": self.eta_read,
             "eta_extra": self.eta_extra,
@@ -61,8 +61,8 @@ class ScenarioParams:
         for key, val in effs.items():
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{key}={val} outside [0, 1]")
-        if self.m_mux < 1:
-            raise ValueError(f"multiplexing level must be >= 1, got {self.m_mux}")
+        if not self.m_mux >= 1:
+            raise ValueError(f"m_mux (multiplexing level) must be >= 1, got {self.m_mux}")
 
 
 @dataclass(frozen=True)

@@ -212,16 +212,43 @@ class TestConfigIntegration:
 
     def test_cli_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("hops = 2\n")
+        cfg.write_text("hops = 2\npclick_override = 0.5\n")
         out = tmp_path / "out"
-        assert main(["chain", "--config", str(cfg), "--hops", "5", "--out", str(out)]) == 0
+        assert main(["chain", "--config", str(cfg), "--hops", "5", "--pclick-override", "0.18",
+                     "--format", "CSV, svg", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["chain.csv", "chain.svg"]
         _, rows = read_csv(out / "chain.csv")
         assert len(rows) == 5
+        assert float(rows[0][3]) == pytest.approx(0.18, rel=1e-8)
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp_factor = 9\n")
         assert main(["chain", "--config", str(cfg)]) == 2
+
+    def test_seed_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        assert main(["chain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--hops", "0", "hops"),
+        ("--format", "pdf", "formats"),
+        ("--format", ",", "format"),
+        ("--pclick-override", "1.5", "pclick_override"),
+        ("--pclick-override", "nan", "pclick_override"),
+    ])
+    def test_invalid_flag_exits_2_naming_the_key(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "out"
+        assert main(["chain", flag, value, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["chain", "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_unstable_step_exits_with_numerical_failure(self, tmp_path, capsys):
         # dt far beyond the RK4 stability limit: positivity is lost in the first step
@@ -235,8 +262,8 @@ class TestDeterminismAndErrors:
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["pair", "--seed", "99", "--out", str(out)]) == 0
-            assert main(["chain", "--seed", "99", "--out", str(out)]) == 0
+            assert main(["pair", "--out", str(out)]) == 0
+            assert main(["chain", "--out", str(out)]) == 0
         for name in ("pair_trace.csv", "pair_dm.csv", "chain.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 

@@ -1,4 +1,5 @@
 """Config grammar: units, defaults, errors and scenario round trips."""
+import dataclasses
 import math
 
 import pytest
@@ -124,10 +125,9 @@ class TestParsing:
             parse_config_text("hops = 0\n")
 
     def test_noise_and_seed_keys(self):
-        cfg = parse_config_text("p_link = 0.9\nq_swap = 0.95\nseed = 42\n")
+        cfg = parse_config_text("p_link = 0.9\nq_swap = 0.95\n")
         assert cfg.noise.p_link == 0.9
         assert cfg.noise.q_swap == 0.95
-        assert cfg.seed == 42
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -151,10 +151,6 @@ class TestRoundTrip:
 
 
 class TestRunConfig:
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ConfigError, match="command"):
-            RunConfig(command="teleport")
-
     def test_rejects_empty_formats(self):
         with pytest.raises(ConfigError, match="format"):
             RunConfig(formats=())
@@ -163,6 +159,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown output formats"):
             RunConfig(formats=("csv", "pdf"))
 
-    def test_seed_width(self):
-        with pytest.raises(ConfigError, match="64 bits"):
-            RunConfig(seed=2**64)
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan])
+    def test_rejects_pclick_override_outside_unit_interval(self, value):
+        with pytest.raises(ConfigError, match=r"pclick_override=.* outside \[0, 1\]"):
+            RunConfig(pclick_override=value)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.hops = 0

@@ -26,7 +26,6 @@ from magrep.dynamics import (
     target_pair_state,
     _check_records,
     _dense_cost,
-    _jump_stack,
     _liouvillian,
     _matrix_free_cost,
     _propagate_dense,
@@ -153,27 +152,29 @@ class TestHamiltonians:
 
 class TestCollapseOperators:
     def test_four_operators_with_rates(self):
+        # every unscaled operator has unit spectral norm at a 2x2 truncation
         p = LindbladParams()
         ops = collapse_operators(p)
-        assert [rate for _, rate in ops] == [p.kappa_d, p.gamma_d, p.kappa_phi, p.gamma_phi]
+        assert ops.shape == (4, 4, 4)
+        norms = [np.linalg.norm(op, 2) ** 2 for op in ops]
+        assert norms == pytest.approx([p.kappa_d, p.gamma_d, p.kappa_phi, p.gamma_phi],
+                                      rel=1e-12)
 
     def test_zero_rates_give_zero_matrices(self):
         ops = collapse_operators(ideal_params())
-        assert len(ops) == 4
-        for op, rate in ops:
-            assert rate == 0.0
-            assert np.all(op == 0)
+        assert ops.shape == (4, 4, 4)
+        assert np.all(ops == 0)
 
     def test_cavity_decay_action(self):
         p = LindbladParams()
         space = node_space(p)
-        decay = collapse_operators(p)[0][0]
+        decay = collapse_operators(p)[0]
         out = decay @ basis_ket(space, (0, 1))
         assert np.allclose(out, math.sqrt(p.kappa_d) * basis_ket(space, (0, 0)), rtol=1e-12)
 
     def test_dephasing_operators_are_diagonal(self):
         ops = collapse_operators(LindbladParams(dim_c=3, dim_m=2))
-        for op, _ in ops[2:]:
+        for op in ops[2:]:
             assert np.array_equal(op, np.diag(np.diag(op)))
 
 
@@ -183,7 +184,7 @@ class TestLindbladRHS:
         a = destroy(dim)
         vac = np.zeros((dim, dim), dtype=complex)
         vac[0, 0] = 1.0
-        out = lindblad_rhs(vac, np.zeros((dim, dim)), [math.sqrt(0.3) * a])
+        out = lindblad_rhs(vac, np.zeros((dim, dim)), np.array([math.sqrt(0.3) * a]))
         assert np.max(np.abs(out)) <= 1e-15
 
     def test_maximally_mixed_fixed_under_dephasing(self):
@@ -196,7 +197,7 @@ class TestLindbladRHS:
     def test_traceless_on_random_inputs(self, rng):
         # generator property checked at O(1) operator scale
         h = ginibre_matrix(rng, 4) * 4.0
-        ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)]
+        ops = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         for _ in range(100):
             rho = ginibre_matrix(rng, 4)
             out = lindblad_rhs(rho, h, ops)
@@ -212,7 +213,7 @@ class TestLindbladRHS:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            lindblad_rhs(np.eye(4) / 4, np.eye(2), [])
+            lindblad_rhs(np.eye(4) / 4, np.eye(2), np.zeros((0, 4, 4)))
 
 
 class TestEvolve:
@@ -270,7 +271,7 @@ class TestEvolve:
         k4 = lindblad_rhs(rho + dt * k3, h, ops)
         expected = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        step = rk4_step_matrix(_liouvillian(h, _jump_stack(p)), dt)
+        step = rk4_step_matrix(_liouvillian(h, collapse_operators(p)), dt)
         got = (step @ rho.reshape(-1)).reshape(4, 4)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -360,7 +361,7 @@ class TestPropagationCore:
         record_every = n_steps // 64
         trace = evolve(initial_pair_state(p), p, t, record_every=record_every,
                        hamiltonian="full")
-        step = rk4_step_matrix(_liouvillian(build_full_hamiltonian(p), _jump_stack(p)),
+        step = rk4_step_matrix(_liouvillian(build_full_hamiltonian(p), collapse_operators(p)),
                                t / n_steps)
         v = initial_pair_state(p).matrix.reshape(-1)
         stepped = [v]

@@ -1,10 +1,12 @@
 """Link budgets, multiplexing arithmetic and chain fidelity analytics."""
+import dataclasses
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magrep.dynamics import TWO_PI, MaterialParams
 from magrep.network import (
     BUILTIN_SCENARIOS,
     NoiseModel,
@@ -66,6 +68,17 @@ class TestScenarioTable:
             ScenarioParams("x", 1.0, 1.0, 0.5, None, 0.9, 0.9, 0.9, 0.5, 0)
         with pytest.raises(ValueError, match="span"):
             ScenarioParams("x", 1.0, 0.0, 0.5, None, 0.9, 0.9, 0.9, 0.5, 1)
+
+    @pytest.mark.parametrize("base, key", [
+        *[(BUILTIN_SCENARIOS["metro-c"], key)
+          for key in ("alpha", "l_span", "eta_conv", "eta_det", "p_bsa", "m_mux")],
+        *[(MaterialParams(TWO_PI * 28e9, 1.26e-6, 1e15, 1e-9, TWO_PI * 10e9), key)
+          for key in ("gyromagnetic_ratio", "vacuum_permeability", "total_spin",
+                      "cavity_mode_volume", "omega_c")],
+    ])
+    def test_nan_field_is_rejected_by_name(self, base, key):
+        with pytest.raises(ValueError, match=key):
+            dataclasses.replace(base, **{key: math.nan})
 
 
 class TestLinkEfficiency:
