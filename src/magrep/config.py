@@ -23,11 +23,18 @@ Recognized keys:
 An inline scenario must be complete (``eta_conv`` may be omitted for purely
 microwave links) and cannot be combined with the ``scenario`` key. An empty
 file yields all defaults: the resonant 10 GHz node and the chip-a scenario.
+
+The parser checks only the text (syntax, units, numbers, integer counts,
+finite values) and reports ``file:line``. Ranges and types are checked by the
+constructors of ``RunConfig``, ``ScenarioParams``, ``LindbladParams`` and
+``NoiseModel``; their errors are reported as ``file: message``, naming the
+field, with frequencies in the stored rad/s.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 from .dynamics import LindbladParams
@@ -58,8 +65,12 @@ class RunConfig:
     dt: float | None = None  # seconds
 
     def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ConfigError(f"hops must be >= 1, got {self.hops}")
+        if isinstance(self.hops, bool) or not isinstance(self.hops, Integral) or self.hops < 1:
+            raise ConfigError(f"hops must be an integer >= 1, got {self.hops!r}")
+        for key in ("t_final", "dt"):
+            value = getattr(self, key)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
         if not self.formats:
             raise ConfigError("at least one output format is required")
         bad = [f for f in self.formats if f not in OUTPUT_FORMATS]
@@ -79,7 +90,7 @@ _FREQ_KEYS = ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi", "
 _TIME_KEYS = ("t_final", "dt")
 _FRACTION_KEYS = ("eta_read", "eta_conv", "eta_extra", "eta_det", "eta_col",
                   "p_bsa", "p_link", "q_swap", "pclick_override")
-_COUNT_KEYS = {"hops": 1, "dim_c": 2, "dim_m": 2, "m_mux": 1}
+_COUNT_KEYS = ("hops", "dim_c", "dim_m", "m_mux")
 _NAME_KEYS = ("scenario", "scenario_name")
 
 _INLINE_REQUIRED = ("alpha", "span", "eta_read", "eta_extra", "eta_det",
@@ -107,46 +118,28 @@ def _parse_value(key: str, value: str, unit: str | None, where: str):
         mult = _FREQ_UNITS.get(unit.lower())
         if mult is None:
             raise ConfigError(f"{where}: {key} takes GHz or MHz, not {unit!r}")
-        v = _parse_number(value, key, where)
-        if v < 0:
-            raise ConfigError(f"{where}: {key} must be >= 0")
-        return TWO_PI * v * mult
+        return TWO_PI * _parse_number(value, key, where) * mult
     if key in _TIME_KEYS:
         if unit is None or unit.lower() not in _TIME_UNITS:
             raise ConfigError(f"{where}: {key} needs the ns unit suffix")
-        v = _parse_number(value, key, where)
-        if v <= 0:
-            raise ConfigError(f"{where}: {key} must be > 0")
-        return v * _TIME_UNITS[unit.lower()]
+        return _parse_number(value, key, where) * _TIME_UNITS[unit.lower()]
     if key == "span":
         if unit is None or unit.lower() not in _LENGTH_UNITS:
             raise ConfigError(f"{where}: span takes km or cm, got {unit!r}")
-        v = _parse_number(value, key, where)
-        if v <= 0:
-            raise ConfigError(f"{where}: span must be > 0")
-        return v * _LENGTH_UNITS[unit.lower()]
+        return _parse_number(value, key, where) * _LENGTH_UNITS[unit.lower()]
     if key == "alpha":
         if unit is None or unit.lower() not in _ATTEN_UNITS:
             raise ConfigError(f"{where}: alpha takes dB_per_km or dB_per_cm, got {unit!r}")
-        v = _parse_number(value, key, where)
-        if v < 0:
-            raise ConfigError(f"{where}: alpha must be >= 0")
-        return v * _ATTEN_UNITS[unit.lower()]
+        return _parse_number(value, key, where) * _ATTEN_UNITS[unit.lower()]
     if unit is not None:
         raise ConfigError(f"{where}: {key} takes no unit suffix, got {unit!r}")
     if key in _FRACTION_KEYS:
-        v = _parse_number(value, key, where)
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"{where}: {key}={v} outside [0, 1]")
-        return v
+        return _parse_number(value, key, where)
     if key in _COUNT_KEYS:
         try:
-            v = int(value)
+            return int(value)
         except ValueError:
             raise ConfigError(f"{where}: {key} must be an integer, got {value!r}") from None
-        if v < _COUNT_KEYS[key]:
-            raise ConfigError(f"{where}: {key} must be >= {_COUNT_KEYS[key]}, got {v}")
-        return v
     if key in _NAME_KEYS:
         return value
     raise ConfigError(f"{where}: unhandled key {key!r}")  # pragma: no cover
@@ -181,48 +174,36 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(
             f"{source}: 'scenario' cannot be combined with inline scenario keys {inline_present}"
         )
+    missing = [k for k in _INLINE_REQUIRED if k not in values]
+    if inline_present and missing:
+        raise ConfigError(f"{source}: inline scenario is missing keys {missing}")
 
-    if inline_present:
-        missing = [k for k in _INLINE_REQUIRED if k not in values]
-        if missing:
-            raise ConfigError(f"{source}: inline scenario is missing keys {missing}")
-        scenario = ScenarioParams(
-            name=str(values.get("scenario_name", "custom")),
-            alpha=values["alpha"],
-            l_span=values["span"],
-            eta_read=values["eta_read"],
-            eta_conv=values.get("eta_conv"),
-            eta_extra=values["eta_extra"],
-            eta_det=values["eta_det"],
-            eta_col=values["eta_col"],
-            p_bsa=values["p_bsa"],
-            m_mux=values["m_mux"],
-        )
-    elif "scenario" in values:
-        try:
-            scenario = get_scenario(str(values["scenario"]))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: {exc}") from None
-    else:
-        scenario = BUILTIN_SCENARIOS["chip-a"]
-
-    lb_kwargs = {k: values[k] for k in (*_FREQ_KEYS, "dim_c", "dim_m") if k in values}
-    noise_kwargs = {k: values[k] for k in ("p_link", "q_swap") if k in values}
+    run_kwargs = {k: values[k] for k in ("hops", "pclick_override", *_TIME_KEYS) if k in values}
     try:
-        lindblad = LindbladParams(**lb_kwargs)
-        noise = NoiseModel(**noise_kwargs)
+        if inline_present:
+            run_kwargs["scenario"] = ScenarioParams(
+                name=values.get("scenario_name", "custom"),
+                alpha=values["alpha"],
+                l_span=values["span"],
+                eta_read=values["eta_read"],
+                eta_conv=values.get("eta_conv"),
+                eta_extra=values["eta_extra"],
+                eta_det=values["eta_det"],
+                eta_col=values["eta_col"],
+                p_bsa=values["p_bsa"],
+                m_mux=values["m_mux"],
+            )
+        elif "scenario" in values:
+            run_kwargs["scenario"] = get_scenario(values["scenario"])
+        return RunConfig(
+            lindblad=LindbladParams(
+                **{k: values[k] for k in (*_FREQ_KEYS, "dim_c", "dim_m") if k in values}
+            ),
+            noise=NoiseModel(**{k: values[k] for k in ("p_link", "q_swap") if k in values}),
+            **run_kwargs,
+        )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-
-    return RunConfig(
-        scenario=scenario,
-        hops=int(values.get("hops", 4)),
-        noise=noise,
-        lindblad=lindblad,
-        pclick_override=values.get("pclick_override"),
-        t_final=values.get("t_final"),
-        dt=values.get("dt"),
-    )
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -70,8 +71,10 @@ class LindbladParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.dim_c < 2 or self.dim_m < 2:
-            raise ValueError("mode truncations dim_c, dim_m must be >= 2")
+        for name in ("dim_c", "dim_m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+                raise ValueError(f"mode truncations must be integers >= 2, got {name}={value!r}")
 
     @property
     def is_strong_coupling(self) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 # Minimum conditional fidelity for a hop to count as usable for key distribution.
@@ -61,8 +62,10 @@ class ScenarioParams:
         for key, val in effs.items():
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{key}={val} outside [0, 1]")
-        if not self.m_mux >= 1:
-            raise ValueError(f"m_mux (multiplexing level) must be >= 1, got {self.m_mux}")
+        if isinstance(self.m_mux, bool) or not isinstance(self.m_mux, Integral) or self.m_mux < 1:
+            raise ValueError(
+                f"m_mux (multiplexing level) must be an integer >= 1, got {self.m_mux!r}"
+            )
 
 
 @dataclass(frozen=True)

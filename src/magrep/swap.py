@@ -137,7 +137,6 @@ def bsm(
     qubits are renormalized, and the outcome's Pauli correction is applied to
     the second survivor so every branch lands on the same target pair.
     """
-    _require_four_qubits(rho, qubit_a, qubit_b)
     probs = bsm_probabilities(rho, qubit_a, qubit_b)
 
     if outcome is not None:

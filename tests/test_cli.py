@@ -185,6 +185,15 @@ class TestSweepCommand:
         ]) == 2
         assert "mux" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, value, key", [
+        ("conv", "1.5", "eta_conv"), ("length", "-5", "l_span"), ("hops", "0", "hops"),
+        ("mux", "0", "m_mux"),
+    ])
+    def test_out_of_range_value_names_field(self, tmp_path, capsys, axis, value, key):
+        assert main(["sweep", "--sweep-axis", axis, f"--sweep-values={value}",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_illegal_conv_value(self):
         assert main(["sweep", "--sweep-axis", "conv", "--sweep-values", "1.5"]) == 2
 

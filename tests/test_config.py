@@ -118,6 +118,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="outside"):
             parse_config_text("q_swap = 1.5\n")
 
+    @pytest.mark.parametrize("line, key", [
+        ("alpha = -1 dB_per_km", "alpha"), ("span = 0 km", "l_span"), ("m_mux = 0", "m_mux"),
+    ])
+    def test_inline_scenario_range_error_names_source_and_field(self, line, key):
+        text = scenario_to_config(BUILTIN_SCENARIOS["metro-c"])
+        kept = [ln for ln in text.splitlines() if not ln.startswith(line.split()[0] + " ")]
+        with pytest.raises(ConfigError, match=rf"^run\.cfg: {key}"):
+            parse_config_text("\n".join([*kept, line]) + "\n", source="run.cfg")
+
     def test_count_bounds(self):
         with pytest.raises(ConfigError, match=">= 2"):
             parse_config_text("dim_c = 1\n")
@@ -163,6 +172,15 @@ class TestRunConfig:
     def test_rejects_pclick_override_outside_unit_interval(self, value):
         with pytest.raises(ConfigError, match=r"pclick_override=.* outside \[0, 1\]"):
             RunConfig(pclick_override=value)
+
+    @pytest.mark.parametrize("key, value", [
+        *[(key, value) for key in ("t_final", "dt") for value in (math.inf, math.nan, 0.0, -1e-9)],
+        ("hops", 2.5),
+        ("hops", True),
+    ])
+    def test_rejects_bad_field_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
 
     def test_fields_cannot_be_assigned(self):
         cfg = RunConfig()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrep.dynamics import TWO_PI, MaterialParams
+from magrep.dynamics import TWO_PI, LindbladParams, MaterialParams
 from magrep.network import (
     BUILTIN_SCENARIOS,
     NoiseModel,
@@ -79,6 +79,15 @@ class TestScenarioTable:
     def test_nan_field_is_rejected_by_name(self, base, key):
         with pytest.raises(ValueError, match=key):
             dataclasses.replace(base, **{key: math.nan})
+
+
+    @pytest.mark.parametrize("base, key, value", [
+        *[(BUILTIN_SCENARIOS["chip-a"], "m_mux", value) for value in (2.5, True)],
+        *[(LindbladParams(), "dim_c", value) for value in (2.5, True)],
+    ])
+    def test_non_integer_count_is_rejected_by_name(self, base, key, value):
+        with pytest.raises(ValueError, match=key):
+            dataclasses.replace(base, **{key: value})
 
 
 class TestLinkEfficiency:
