@@ -12,13 +12,12 @@ import argparse
 import dataclasses
 import math
 import sys
+from numbers import Integral, Real
 from pathlib import Path
 
-import numpy as np
-
-from . import dynamics, network
+from . import network
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import IntegrationError
+from .params import IntegrationError
 from .svgplot import LineChart
 
 SWEEP_AXES = ("mux", "conv", "hops", "length")
@@ -27,9 +26,9 @@ SWEEP_AXES = ("mux", "conv", "hops", "length")
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, Real):
         return format(float(value), ".9g")
     return str(value)
 
@@ -62,6 +61,8 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 def cmd_pair(cfg: RunConfig) -> list[Path]:
     """Trace pair generation over time and snapshot the heralded-state matrix."""
+    from . import dynamics  # numpy loads here, so chain and sweep never pay for it
+
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
     if p.dim_c != 2 or p.dim_m != 2:
         raise ConfigError("the pair command requires dim_c = dim_m = 2")

@@ -37,10 +37,8 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
-from .dynamics import LindbladParams
 from .network import BUILTIN_SCENARIOS, NoiseModel, ScenarioParams, get_scenario
-
-TWO_PI = 2.0 * math.pi
+from .params import TWO_PI, LindbladParams
 
 OUTPUT_FORMATS = ("csv", "svg")
 

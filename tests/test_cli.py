@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magrep import dynamics, network
-from magrep.cli import exit_code_for, main
+from magrep.cli import _fmt, exit_code_for, main
 from magrep.config import ConfigError
 from magrep.dynamics import IntegrationError
 
@@ -293,3 +293,16 @@ class TestDeterminismAndErrors:
         _, rows = read_csv(tmp_path / "chain.csv")
         p_hop = network.hop_success(network.click_probability(network.BUILTIN_SCENARIOS["chip-a"]), 1)
         assert rows[0][3] == format(p_hop, ".9g")
+
+    @pytest.mark.parametrize("value, text", [
+        (np.int64(-7), "-7"),
+        (np.float64(1 / 3), "0.333333333"),
+        (np.float32(0.1), "0.100000001"),
+        (np.bool_(True), "True"),  # not a Python bool: falls through to str()
+        (True, "true"),
+        (False, "false"),
+        (3, "3"),
+        (2.5e-10, "2.5e-10"),
+    ])
+    def test_fmt_on_numpy_and_python_scalars(self, value, text):
+        assert _fmt(value) == text

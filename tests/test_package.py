@@ -1,29 +1,79 @@
-"""Top-level package surface."""
+"""Top-level package surface: lazy public names and the numpy-free chain path."""
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
 import magrep
 
-PUBLIC_NAMES = (
+# Home module -> the public names it defines.
+HOMES = {
     # states and metrics
-    "DensityMatrix", "HilbertSpec", "bell_state", "werner_state",
-    "concurrence", "fidelity", "kron", "partial_trace",
+    "qcore": ("DensityMatrix", "HilbertSpec", "bell_state", "werner_state",
+              "concurrence", "fidelity", "kron", "partial_trace"),
     # node dynamics
-    "LindbladParams", "MaterialParams", "EvolutionTrace", "IntegrationError",
-    "build_full_hamiltonian", "build_rwa_hamiltonian", "collapse_operators",
-    "coupling_strength", "evolve", "generate_bell_pair", "lindblad_rhs",
+    "params": ("LindbladParams", "MaterialParams", "IntegrationError"),
+    "dynamics": ("EvolutionTrace", "build_full_hamiltonian", "build_rwa_hamiltonian",
+                 "collapse_operators", "coupling_strength", "evolve", "generate_bell_pair",
+                 "lindblad_rhs"),
     # swapping
-    "BellOutcome", "BELL_OUTCOMES", "SwapResult", "beam_splitter_unitary",
-    "bsm", "depolarize", "heralded_link_probability", "node_swap_gate",
-    "swap_time",
+    "swap": ("BellOutcome", "BELL_OUTCOMES", "SwapResult", "beam_splitter_unitary",
+             "bsm", "depolarize", "heralded_link_probability", "node_swap_gate",
+             "swap_time"),
     # chain model
-    "ScenarioParams", "NoiseModel", "ChainReport", "BUILTIN_SCENARIOS",
-    "chain_fidelity", "click_probability", "cumulative_success",
-    "get_scenario", "hop_success", "link_efficiency", "simulate_chain",
-    "threshold_hops",
-)
+    "network": ("ScenarioParams", "NoiseModel", "ChainReport", "BUILTIN_SCENARIOS",
+                "chain_fidelity", "click_probability", "cumulative_success",
+                "get_scenario", "hop_success", "link_efficiency", "simulate_chain",
+                "threshold_hops"),
+}
 
 
 def test_public_api_is_importable():
-    for name in PUBLIC_NAMES:
-        assert hasattr(magrep, name), name
+    """Each public name is listed by dir() and resolves to its home module's binding."""
+    listed = dir(magrep)
+    for home, names in HOMES.items():
+        module = importlib.import_module(f"magrep.{home}")
+        for name in names:
+            assert getattr(magrep, name) is getattr(module, name), name
+            assert name in listed, name
+
+
+def test_dynamics_keeps_the_moved_names():
+    from magrep import dynamics, params
+    for name in ("LindbladParams", "MaterialParams", "IntegrationError", "TWO_PI"):
+        assert getattr(dynamics, name) is getattr(params, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        magrep.no_such_name  # noqa: B018
+
+
+def test_chain_and_sweep_never_import_numpy(tmp_path):
+    code = textwrap.dedent(f"""
+        import sys
+        import magrep
+        assert "numpy" not in sys.modules, "import magrep loaded numpy"
+        out = {str(tmp_path)!r}
+        assert magrep.cli.main(["chain", "--scenario", "metro-c", "--hops", "8",
+                                "--format", "csv,svg", "--out", out + "/chain"]) == 0
+        assert magrep.cli.main(["sweep", "--scenario", "metro-c", "--sweep-axis", "length",
+                                "--sweep-values", "5,10,20", "--out", out + "/sweep"]) == 0
+        print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+    """)
+    env = dict(os.environ)
+    src = str(Path(magrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    for name in ("chain/chain.csv", "chain/chain.svg", "sweep/sweep.csv"):
+        assert (tmp_path / name).stat().st_size > 0
 
 
 def test_version_string():
