@@ -123,13 +123,13 @@ def collapse_operators(p: LindbladParams) -> np.ndarray:
     ])
 
 
-def lindblad_rhs(rho, hamiltonian: np.ndarray, collapses: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation; trace-free for any input.
+def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, collapses: np.ndarray) -> np.ndarray:
+    """Right-hand side of the master equation for a ``(D, D)`` array; trace-free for any input.
 
     ``collapses`` is a ``(K, D, D)`` operator stack, as :func:`collapse_operators`
-    returns it.
+    returns it. This is the direct form that :func:`_liouvillian` is tested against.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != m.shape:
         raise ValueError(f"dimension mismatch: state {m.shape} vs hamiltonian {h.shape}")

@@ -3,13 +3,15 @@
 Everything is built on plain ``numpy`` complex arrays. Density matrices
 additionally carry a labeled tensor-product structure (:class:`HilbertSpec`)
 so multi-node protocols can address subsystems by name instead of by index.
-All Hilbert spaces in this package are small (total dimension <= 16), so the
+All Hilbert spaces in this package are small: at most 16 for the swap
+registers and (dim_c * dim_m) for a node, 25 at a 5x5 truncation. So the
 storage is unapologetically dense.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,22 +69,22 @@ class HilbertSpec:
     """Ordered, labeled tensor-product decomposition of a Hilbert space.
 
     ``subsystems`` is a sequence of ``(label, dimension)`` pairs; labels must
-    be unique and every dimension must be at least 2.
+    be unique and every dimension must be an integer (not a bool) of at least 2.
     """
 
     subsystems: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        subs = tuple((str(lbl), int(d)) for lbl, d in self.subsystems)
-        object.__setattr__(self, "subsystems", subs)
+        subs = tuple((str(lbl), d) for lbl, d in self.subsystems)
         if not subs:
             raise ValueError("HilbertSpec needs at least one subsystem")
         labels = [lbl for lbl, _ in subs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels: {labels}")
         for lbl, d in subs:
-            if d < 2:
-                raise ValueError(f"subsystem {lbl!r} has dimension {d} < 2")
+            if isinstance(d, bool) or not isinstance(d, Integral) or d < 2:
+                raise ValueError(f"subsystem {lbl!r} needs an integer dimension >= 2, got {d!r}")
+        object.__setattr__(self, "subsystems", tuple((lbl, int(d)) for lbl, d in subs))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -223,35 +225,21 @@ def embed(op, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:
     return t.reshape(space.dim, space.dim)
 
 
-def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a Hermitian matrix, or of each in an ``(n, d, d)`` stack.
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """Factor ``phi`` with ``phi @ phi^dagger == m``, for one Hermitian PSD matrix or a stack.
 
-    The Hermiticity check (1e-9) is written so that NaN fails it.
+    ``phi = V diag(sqrt(w))`` from one eigendecomposition, eigenvalues
+    ascending. The Hermiticity check (1e-9) is written so that NaN fails it;
+    eigenvalues below -1e-9 are rejected and smaller negatives clamped to zero.
     """
     dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    return np.linalg.eigh(m)
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and eigenvector columns of a Hermitian matrix."""
-    evals, vecs = _checked_eigh(as_matrix(m))
-    return evals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix, or of each in a stack.
-
-    Eigenvalues below -1e-9 are rejected; tiny negatives inside the tolerance
-    window are clamped to zero rather than propagated into the square root.
-    """
-    evals, vecs = _checked_eigh(as_matrix(m))
+    evals, vecs = np.linalg.eigh(m)
     low = evals[..., 0].min()
     if not low >= -PSD_TOL:
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {low:.3e}")
-    root = np.sqrt(np.maximum(evals, 0.0))
-    return (vecs * root[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return vecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
 
 
 def bell_state(kind: str, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
@@ -277,20 +265,18 @@ def werner_state(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMat
 def concurrences(rhos) -> np.ndarray:
     """Two-qubit concurrence of each state in an ``(n, 4, 4)`` stack, each in [0, 1].
 
-    Wootters' formula in the Hermitian form sqrt(sqrt(rho) rho_tilde sqrt(rho)),
-    so only Hermitian eigensolvers are needed. Every state must be Hermitian
-    (1e-9) and positive semidefinite (eigenvalues >= -1e-9); negatives inside
-    that window are clamped to zero.
+    Wootters' lambda_i are the singular values of ``phi^T (Y x Y) phi`` for the
+    factor ``rho = phi phi^dagger``, so each state costs one Hermitian
+    eigensolve and one 4x4 SVD. Every state must be Hermitian (1e-9) and
+    positive semidefinite (eigenvalues >= -1e-9); negatives inside that window
+    are clamped to zero.
     """
     m = np.asarray(rhos, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"concurrence requires two-qubit (4x4) states, got {m.shape[1:]}")
-    rho_tilde = _YY @ m.conj() @ _YY
-    s = matrix_sqrt_psd(m)
-    lam_sq, _ = _checked_eigh(s @ rho_tilde @ s)
-    lam = np.sqrt(np.maximum(lam_sq, 0.0))
-    c = lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]
-    return np.clip(c, 0.0, 1.0)
+    phi = _psd_factor(m)
+    lam = np.linalg.svd(phi.swapaxes(1, 2) @ _YY @ phi, compute_uv=False)
+    return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
 
 
 def concurrence(rho) -> float:
@@ -301,13 +287,14 @@ def concurrence(rho) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
-    Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma), which is the
-    same quantity but keeps eigenvalue roundoff from being amplified through
-    the outer square root; the form is also exactly symmetric in its arguments.
+    Evaluated as the squared trace norm of ``phi_rho^dagger phi_sigma`` for the
+    factors ``rho = phi_rho phi_rho^dagger`` (likewise sigma), which has the
+    singular values of sqrt(rho) sqrt(sigma) but needs no matrix square root;
+    the form is also symmetric in its arguments.
     """
     a = as_matrix(rho)
     b = as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    f = float(np.linalg.svd(matrix_sqrt_psd(a) @ matrix_sqrt_psd(b), compute_uv=False).sum() ** 2)
-    return min(1.0, max(0.0, f))
+    s = np.linalg.svd(_psd_factor(a).conj().T @ _psd_factor(b), compute_uv=False)
+    return min(1.0, max(0.0, float(s.sum() ** 2)))

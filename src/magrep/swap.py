@@ -85,7 +85,7 @@ def beam_splitter_unitary(beta: float, t: float) -> np.ndarray:
 
 def swap_time(g_bs: float) -> float:
     """Evolution time for a full mode swap: pi / (2 g_bs)."""
-    if g_bs <= 0:
+    if not g_bs > 0:
         raise ValueError(f"beam-splitter rate must be > 0, got {g_bs}")
     return math.pi / (2.0 * g_bs)
 
@@ -197,8 +197,8 @@ def heralded_link_probability(length_km: float, attenuation_length_km: float = 1
     exp(-L/d)/2: the 1/2 is the intrinsic linear-optics analyzer ceiling, the
     exponential is two-photon survival over length L with attenuation length d.
     """
-    if length_km < 0:
+    if not length_km >= 0:
         raise ValueError(f"length must be >= 0, got {length_km}")
-    if attenuation_length_km <= 0:
+    if not attenuation_length_km > 0:
         raise ValueError(f"attenuation length must be > 0, got {attenuation_length_km}")
     return math.exp(-length_km / attenuation_length_km) / 2.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from magrep import dynamics
 from magrep.dynamics import (
     HBAR,
     IntegrationError,
@@ -32,7 +33,7 @@ from magrep.dynamics import (
     _propagate_matrix_free,
     _segments,
 )
-from magrep.qcore import basis_ket, fidelity, kron
+from magrep.qcore import basis_ket, concurrences, fidelity, kron
 from conftest import ginibre_matrix, single_excitation_block
 
 MU0 = 1.25663706212e-6
@@ -221,6 +222,29 @@ class TestEvolve:
         p = ideal_params()
         trace = evolve(initial_pair_state(p), p, pair_generation_time(p))
         assert fidelity(trace.final_state, target_pair_state(p)) >= 0.999
+
+    def test_ideal_trace_concurrence_matches_x_state_closed_form(self, monkeypatch):
+        # the states of `magrep pair --ideal`; for an X state
+        # C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))
+        recorded = []
+
+        def capture(states):
+            recorded.append(states.copy())
+            return concurrences(states)
+
+        monkeypatch.setattr(dynamics, "concurrences", capture)
+        p = LindbladParams().without_dissipation()
+        trace = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc))
+        (states,) = recorded
+        assert len(states) == 473
+        assert np.max(np.abs(states[:, [0, 0, 1, 2], [1, 2, 3, 3]])) <= 1e-15
+        pops = states.diagonal(axis1=1, axis2=2).real
+        expected = 2 * np.maximum.reduce([
+            np.zeros(len(states)),
+            np.abs(states[:, 0, 3]) - np.sqrt(pops[:, 1] * pops[:, 2]),
+            np.abs(states[:, 1, 2]) - np.sqrt(pops[:, 0] * pops[:, 3]),
+        ])
+        assert np.max(np.abs(trace.concurrences - expected)) <= 1e-12
 
     def test_zero_generator_keeps_state_constant(self):
         p = ideal_params(g_mc=0.0)
@@ -424,3 +448,12 @@ class TestGenerateBellPair:
     def test_unknown_hamiltonian_choice(self):
         with pytest.raises(ValueError, match="rwa"):
             generate_bell_pair(LindbladParams(), hamiltonian="exact")
+
+    def test_full_hamiltonian_fidelity_converges_in_truncation(self):
+        # default parameters: F = 0.9939163415 (dim 3), 0.9939079813 (4), 0.9939071745 (5)
+        f3, f4, f5 = (
+            generate_bell_pair(LindbladParams(dim_c=d, dim_m=d), hamiltonian="full")[1]
+            for d in (3, 4, 5)
+        )
+        assert abs(f4 - f5) < abs(f3 - f4)
+        assert abs(f4 - f5) < 1e-6

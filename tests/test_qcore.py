@@ -16,14 +16,13 @@ from magrep.qcore import (
     concurrence,
     embed,
     fidelity,
-    hermitian_eig,
     kron,
     matrices_equal,
-    matrix_sqrt_psd,
     partial_trace,
     qubit_space,
     tensor_product,
     werner_state,
+    _psd_factor,
 )
 from conftest import concurrence_oracle, ginibre_matrix, random_two_qubit
 
@@ -85,6 +84,11 @@ class TestHilbertSpec:
     def test_dimension_below_two_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             HilbertSpec((("a", 1),))
+
+    @pytest.mark.parametrize("dim", [2.9, "3", True])
+    def test_non_integer_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match="subsystem 'b' needs an integer dimension"):
+            HilbertSpec((("a", 2), ("b", dim)))
 
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown subsystem"):
@@ -201,56 +205,60 @@ class TestEmbed:
         assert matrices_equal(swapped, perm @ op @ perm, atol=1e-12)
 
 
-class TestHermitianEig:
-    def test_sigma_z(self):
-        evals, _ = hermitian_eig(PAULI_Z)
-        assert np.allclose(evals, [1.0, -1.0], atol=1e-12)
-
-    def test_sigma_x_eigenvectors(self):
-        evals, vecs = hermitian_eig(PAULI_X)
-        assert np.allclose(evals, [1.0, -1.0], atol=1e-12)
-        assert np.allclose(np.abs(vecs), 1 / np.sqrt(2), atol=1e-12)
-
-    def test_werner_spectrum(self):
-        # analytic spectrum: p + (1-p)/4 once, (1-p)/4 three times
-        evals, _ = hermitian_eig(werner_state(0.94).matrix)
-        assert np.allclose(evals, [0.955, 0.015, 0.015, 0.015], atol=1e-12)
-
-    def test_reconstruction_and_unitarity(self, rng):
-        m = ginibre_matrix(rng, 6) * 3.0
-        evals, vecs = hermitian_eig(m)
-        assert np.all(np.diff(evals) <= 1e-14)
-        assert np.max(np.abs((vecs * evals) @ vecs.conj().T - m)) <= 1e-8
-        assert np.max(np.abs(vecs @ vecs.conj().T - np.eye(6))) <= 1e-8
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+# Every entry point that factors its argument; all three share one check.
+_METRICS = (
+    concurrence,
+    lambda rho: fidelity(rho, np.eye(4) / 4),
+    lambda rho: fidelity(np.eye(4) / 4, rho),
+)
 
 
-class TestMatrixSqrt:
+class TestPsdFactor:
+    """The one checked eigendecomposition behind concurrence and fidelity."""
+
     def test_identity(self):
-        assert matrices_equal(matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-12)
+        phi = _psd_factor(np.eye(3))
+        assert matrices_equal(phi.conj().T @ phi, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        assert matrices_equal(matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+        # eigenvectors are the basis vectors up to phase
+        assert matrices_equal(np.abs(_psd_factor(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]), atol=1e-12)
 
-    def test_pure_state_is_idempotent(self):
-        rho = bell_state("phi_plus").matrix
-        assert matrices_equal(matrix_sqrt_psd(rho), rho, atol=1e-10)
+    def test_pure_state_has_rank_one(self):
+        phi = _psd_factor(bell_state("phi_plus").matrix)
+        assert np.max(np.abs(phi[:, :3])) <= 1e-8
+        assert abs(np.vdot(phi[:, 3], [1, 0, 0, 1])) ** 2 / 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_square_recovers_input(self, rng):
-        m = ginibre_matrix(rng, 5)
-        s = matrix_sqrt_psd(m)
-        assert np.max(np.abs(s @ s - m)) <= 1e-8
+        stack = np.array([ginibre_matrix(rng, 5) for _ in range(3)])
+        phi = _psd_factor(stack)
+        assert np.max(np.abs(phi @ phi.conj().swapaxes(1, 2) - stack)) <= 1e-12
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            matrix_sqrt_psd(np.diag([1.0, -1e-6]))
+        m = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
+        for metric in _METRICS:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                metric(m)
 
     def test_tiny_negative_clamped(self):
-        out = matrix_sqrt_psd(np.diag([1.0, -1e-10]))
-        assert out[1, 1] == 0.0
+        # an eigenvalue of -1e-10 counts as 0: the state acts as the pure |00>
+        m = np.diag([1.0 + 1e-10, 0.0, 0.0, -1e-10])
+        assert _psd_factor(m)[3, 0] == 0.0
+        assert concurrence(m) == 0.0
+        assert fidelity(m, np.diag([1.0, 0.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_hermitian_rejected(self):
+        m = np.eye(4) / 4
+        m[0, 1] = 1e-6
+        for metric in _METRICS:
+            with pytest.raises(ValueError, match="Hermitian"):
+                metric(m)
+
+    def test_nan_rejected(self):
+        m = np.eye(4) / 4
+        m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            concurrence(m)
 
 
 class TestBellAndWerner:
@@ -286,7 +294,7 @@ class TestBellAndWerner:
     def test_werner_concurrence_analytic(self):
         for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.94, 1.0):
             expected = max(0.0, (3.0 * p - 1.0) / 2.0)
-            assert concurrence(werner_state(p)) == pytest.approx(expected, abs=1e-8)
+            assert concurrence(werner_state(p)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestConcurrence:
@@ -305,8 +313,16 @@ class TestConcurrence:
         with pytest.raises(ValueError, match="4x4"):
             concurrence(np.eye(8) / 8)
 
+    def test_pure_states_match_closed_form(self, rng):
+        # Wootters: C(|psi>) = |psi^T (Y x Y) psi|
+        for _ in range(200):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v /= np.linalg.norm(v)
+            expected = abs(v @ np.kron(PAULI_Y, PAULI_Y) @ v)
+            assert concurrence(np.outer(v, v.conj())) == pytest.approx(expected, abs=1e-12)
+
     def test_matches_brute_force_oracle(self, rng):
-        # Hermitian route vs the general-eigenvalue route on 200 mixed states
+        # factor route vs the general-eigenvalue route on 200 mixed states
         for _ in range(200):
             m = ginibre_matrix(rng, 4)
             assert concurrence(m) == pytest.approx(concurrence_oracle(m), abs=1e-6)

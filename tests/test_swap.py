@@ -303,3 +303,13 @@ class TestHeraldedLinkProbability:
             heralded_link_probability(-1.0)
         with pytest.raises(ValueError, match="> 0"):
             heralded_link_probability(1.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: heralded_link_probability(math.nan),
+    lambda: heralded_link_probability(1.0, math.nan),
+    lambda: swap_time(math.nan),
+], ids=["length", "attenuation_length", "swap_rate"])
+def test_range_checks_reject_nan(call):
+    with pytest.raises(ValueError, match="nan"):
+        call()
