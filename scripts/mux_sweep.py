@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Multiplexing gain at a pinned single-channel click probability."""
 import argparse
+import csv
 
 from magrep import network
 from magrep.cli import cmd_sweep
@@ -22,12 +23,13 @@ def main() -> None:
         pclick_override=args.pclick,
     )
     files = cmd_sweep(cfg, "mux", [float(v) for v in values])
+    with open(files[0], newline="", encoding="utf-8") as fh:
+        hop4 = {int(float(row["value"])): row for row in csv.DictReader(fh) if row["hop"] == "4"}
 
     print(f"single-channel click probability pinned at {args.pclick}")
     print(f"{'channels':>8s} {'p_hop':>8s} {'P_cum(4 hops)':>14s}")
     for m in values:
-        p_hop = network.hop_success(args.pclick, m)
-        print(f"{m:8d} {p_hop:8.4f} {p_hop ** 4:14.5f}")
+        print(f"{m:8d} {float(hop4[m]['p_hop']):8.4f} {float(hop4[m]['p_cumulative']):14.5f}")
     for f in files:
         print(f"wrote {f}")
 

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from numbers import Integral, Real
 from pathlib import Path
 
 from . import network
@@ -24,17 +23,15 @@ SWEEP_AXES = ("mux", "conv", "hops", "length")
 
 
 def _fmt(value) -> str:
+    value = value.item() if hasattr(value, "item") else value  # numpy scalar -> Python
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Integral):
-        return str(int(value))
-    if isinstance(value, Real):
-        return format(float(value), ".9g")
+    if isinstance(value, float):
+        return format(value, ".9g")
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+def _write(path: Path, text: str) -> Path:
     try:
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -42,12 +39,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def _write_svg(path: Path, chart: LineChart) -> Path:
-    try:
-        path.write_text(chart.render(), encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    return path
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _ensure_out_dir(cfg: RunConfig) -> Path:
@@ -60,15 +54,18 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_pair(cfg: RunConfig) -> list[Path]:
-    """Trace pair generation over time and snapshot the heralded-state matrix."""
+    """Trace pair generation on the quarter-period grid; its record there is the heralded state."""
     from . import dynamics  # numpy loads here, so chain and sweep never pay for it
 
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
     if p.dim_c != 2 or p.dim_m != 2:
         raise ConfigError("the pair command requires dim_c = dim_m = 2")
     out = _ensure_out_dir(cfg)
-    t_final = cfg.t_final if cfg.t_final is not None else 3.0 * math.pi / (4.0 * p.g_mc)
-    trace = dynamics.evolve(dynamics.initial_pair_state(p), p, t_final, dt=cfg.dt)
+    n_q = dynamics.pair_steps(p, dt=cfg.dt)
+    step = dynamics.pair_generation_time(p) / n_q
+    # to the first grid point at or after t_final; default three quarter periods, never < one
+    n_steps = 3 * n_q if cfg.t_final is None else max(n_q, math.ceil(cfg.t_final / step - 1e-9))
+    trace = dynamics.evolve(dynamics.initial_pair_state(p), p, n_steps * step, dt=step)
 
     rows = [
         [t * 1e9, c, *pops]
@@ -82,30 +79,19 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
         )
     ]
 
-    state, _ = dynamics.generate_bell_pair(p, dt=cfg.dt)
     labels = ["00", "01", "10", "11"]
     dm_rows = [
-        [labels[i], labels[j], state.matrix[i, j].real, state.matrix[i, j].imag,
-         abs(state.matrix[i, j])]
-        for i in range(4)
-        for j in range(4)
+        [a, b, z.real, z.imag, abs(z)]
+        for a, row in zip(labels, trace.states[n_q]) for b, z in zip(labels, row)
     ]
-    files.append(
-        _write_csv(out / "pair_dm.csv", ["row_label", "col_label", "re", "im", "abs"], dm_rows)
-    )
+    dm_header = ["row_label", "col_label", "re", "im", "abs"]
+    files.append(_write_csv(out / "pair_dm.csv", dm_header, dm_rows))
 
     if "svg" in cfg.formats:
         chart = LineChart("Pair generation", "time (ns)", "concurrence")
         chart.add("concurrence", trace.times * 1e9, trace.concurrences)
-        files.append(_write_svg(out / "pair_trace.svg", chart))
+        files.append(_write(out / "pair_trace.svg", chart.render()))
     return files
-
-
-def _chain_rows(report: network.ChainReport) -> list[list]:
-    return [
-        [r.hop, r.fidelity, r.concurrence, r.p_hop, r.p_cumulative, r.usable]
-        for r in report.hops
-    ]
 
 
 def cmd_chain(cfg: RunConfig) -> list[Path]:
@@ -116,7 +102,8 @@ def cmd_chain(cfg: RunConfig) -> list[Path]:
         _write_csv(
             out / "chain.csv",
             ["hop", "fidelity", "concurrence", "p_hop", "p_cumulative", "usable"],
-            _chain_rows(report),
+            [[r.hop, r.fidelity, r.concurrence, r.p_hop, r.p_cumulative, r.usable]
+             for r in report.hops],
         )
     ]
     if "svg" in cfg.formats:
@@ -128,7 +115,7 @@ def cmd_chain(cfg: RunConfig) -> list[Path]:
             [network.USABLE_FIDELITY_THRESHOLD] * len(hops), dashed=True,
         )
         chart.add("cumulative success", hops, [r.p_cumulative for r in report.hops], dashed=True)
-        files.append(_write_svg(out / "chain.svg", chart))
+        files.append(_write(out / "chain.svg", chart.render()))
     return files
 
 

@@ -59,8 +59,8 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv",)
     pclick_override: float | None = None
     ideal: bool = False
-    t_final: float | None = None  # seconds
-    dt: float | None = None  # seconds
+    t_final: float | None = None  # s; pair rounds it up to its grid, and to >= a quarter period
+    dt: float | None = None  # s; pair shrinks it so whole steps land on the quarter period
 
     def __post_init__(self) -> None:
         if isinstance(self.hops, bool) or not isinstance(self.hops, Integral) or self.hops < 1:

@@ -50,19 +50,27 @@ TRACE_DRIFT_LIMIT = 1e-6
 class EvolutionTrace:
     """Recorded master-equation run.
 
-    ``populations[k]`` holds the diagonal of the state at ``times[k]`` in the
-    product basis |n_m n_c>. ``concurrences`` is None unless both truncations
-    are 2. The diagnostic arrays witness trace/Hermiticity/positivity drift at
-    each recorded step.
+    ``states[k]`` is the checked state at ``times[k]`` in the product basis
+    |n_m n_c>, one read-only ``(n, D, D)`` array that ``populations`` and
+    ``final_state`` read. ``concurrences`` is None unless both truncations are
+    2. The diagnostic arrays witness trace/Hermiticity/positivity drift.
     """
 
+    space: HilbertSpec
     times: np.ndarray
+    states: np.ndarray = field(repr=False)
     concurrences: np.ndarray | None
-    populations: np.ndarray
-    final_state: DensityMatrix
     trace_errors: np.ndarray = field(repr=False)
     herm_errors: np.ndarray = field(repr=False)
     min_eigenvalues: np.ndarray = field(repr=False)
+
+    @property
+    def populations(self) -> np.ndarray:
+        return np.diagonal(self.states, axis1=1, axis2=2).real
+
+    @property
+    def final_state(self) -> DensityMatrix:
+        return DensityMatrix(self.space, self.states[-1], psd_tol=_EVOLVE_PSD_TOL)
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -333,8 +341,7 @@ def evolve(
     Hermitian within 1e-9 and eigenvalues >= -1e-7 (>= -1e-9 for two qubits,
     where the concurrence needs it). A failure raises
     :class:`IntegrationError` naming the check, the value and the time; no
-    state is renormalized. Only the returned final state is built as a
-    :class:`DensityMatrix`.
+    state is renormalized.
     """
     space = node_space(p)
     if rho0.space != space:
@@ -363,11 +370,12 @@ def evolve(
     track_concurrence = p.dim_c == 2 and p.dim_m == 2
     psd_floor = -PSD_TOL if track_concurrence else -_EVOLVE_PSD_TOL
     tr_errs, herm_errs, min_eigs = _check_records(states, times, psd_floor)
+    states.setflags(write=False)
     return EvolutionTrace(
+        space=space,
         times=times,
+        states=states,
         concurrences=concurrences(states) if track_concurrence else None,
-        populations=np.diagonal(states, axis1=1, axis2=2).real.copy(),
-        final_state=DensityMatrix(space, states[-1], psd_tol=_EVOLVE_PSD_TOL),
         trace_errors=tr_errs,
         herm_errors=herm_errs,
         min_eigenvalues=min_eigs,
@@ -395,6 +403,12 @@ def pair_generation_time(p: LindbladParams) -> float:
     return math.pi / (4.0 * p.g_mc)
 
 
+def pair_steps(p: LindbladParams, hamiltonian: str = "rwa", dt: float | None = None) -> int:
+    """Steps of :func:`generate_bell_pair`: ``dt`` shrunk to land on the quarter period, >= 1."""
+    dt = default_step(p, hamiltonian) if dt is None else dt
+    return max(1, math.ceil(pair_generation_time(p) / dt - 1e-9))
+
+
 def generate_bell_pair(
     p: LindbladParams,
     hamiltonian: str = "rwa",
@@ -404,12 +418,8 @@ def generate_bell_pair(
 
     Returns the resulting joint state and its fidelity to the ideal pair.
     """
-    t = pair_generation_time(p)
-    if dt is None:
-        dt = default_step(p, hamiltonian)
-    n_steps = max(1, math.ceil(t / dt - 1e-9))
-    trace = evolve(
-        initial_pair_state(p), p, t, dt=dt,
-        record_every=max(1, n_steps // 64), hamiltonian=hamiltonian,
-    )
-    return trace.final_state, fidelity(trace.final_state, target_pair_state(p))
+    state = evolve(
+        initial_pair_state(p), p, pair_generation_time(p), dt=dt,
+        record_every=max(1, pair_steps(p, hamiltonian, dt) // 64), hamiltonian=hamiltonian,
+    ).final_state
+    return state, fidelity(state, target_pair_state(p))

@@ -129,9 +129,9 @@ class DensityMatrix:
     """Validated trace-one positive-semidefinite operator on a labeled space.
 
     Construction checks squareness, Hermiticity (1e-9), unit trace (1e-6) and
-    positivity (eigenvalues >= -``psd_tol``). Instances are immutable; the
-    stored array is a read-only copy, so values can safely be shared between
-    threads.
+    positivity (eigenvalues >= -``psd_tol``); a NaN or infinite entry fails
+    the Hermiticity check. Instances are immutable; the stored array is a
+    read-only copy, so values can safely be shared between threads.
     """
 
     space: HilbertSpec
@@ -144,13 +144,13 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {d}")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > HERMITIAN_TOL:
+        if not herm <= HERMITIAN_TOL:
             raise ValueError(f"matrix not Hermitian: max deviation {herm:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if min_eig < -psd_tol:
+        if not min_eig >= -psd_tol:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 

@@ -40,9 +40,10 @@ class TestPairCommand:
         # populations sum to the trace
         assert np.allclose(data[:, 2:].sum(axis=1), 1.0, atol=1e-6)
         p = dynamics.LindbladParams()
-        trace = dynamics.evolve(
-            dynamics.initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc)
-        )
+        t_q = dynamics.pair_generation_time(p)
+        n_q = dynamics.pair_steps(p)
+        trace = dynamics.evolve(dynamics.initial_pair_state(p), p, 3 * t_q, dt=t_q / n_q)
+        assert len(trace.times) == len(rows) == 3 * n_q + 1
         assert data[:, 1].max() == pytest.approx(trace.concurrences.max(), abs=1e-9)
 
     def test_dm_schema(self, pair_dir):
@@ -63,6 +64,41 @@ class TestPairCommand:
             entry = state.matrix[idx[r[0]], idx[r[1]]]
             assert float(r[2]) == pytest.approx(entry.real, abs=1e-9)
             assert float(r[3]) == pytest.approx(entry.imag, abs=1e-9)
+
+    @pytest.mark.parametrize("t_final_ns, quarters", [(None, 3), (0.5, 1)])
+    def test_one_integration_whose_quarter_period_record_is_the_snapshot(
+        self, tmp_path, monkeypatch, t_final_ns, quarters
+    ):
+        traces, generated = [], []
+        evolve = dynamics.evolve
+
+        def recording_evolve(*args, **kwargs):
+            traces.append(evolve(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(dynamics, "evolve", recording_evolve)
+        monkeypatch.setattr(dynamics, "generate_bell_pair", lambda *a, **k: generated.append(a))
+        args = ["pair", "--out", str(tmp_path)]
+        if t_final_ns is not None:  # shorter than the quarter period
+            (tmp_path / "run.cfg").write_text(f"t_final = {t_final_ns} ns\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        assert main(args) == 0
+        assert len(traces) == 1 and generated == []
+
+        [trace] = traces
+        p = dynamics.LindbladParams()
+        t_q = dynamics.pair_generation_time(p)
+        n_q = dynamics.pair_steps(p)
+        assert len(trace.times) == quarters * n_q + 1
+        assert trace.times[n_q] == pytest.approx(t_q, rel=1e-12)
+        assert trace.times[-1] == pytest.approx(quarters * t_q, rel=1e-12)
+        _, rows = read_csv(tmp_path / "pair_dm.csv")
+        rho = trace.states[n_q]
+        assert rows == [
+            [a, b, _fmt(rho[i, j].real), _fmt(rho[i, j].imag), _fmt(abs(rho[i, j]))]
+            for i, a in enumerate(["00", "01", "10", "11"])
+            for j, b in enumerate(["00", "01", "10", "11"])
+        ]
 
     def test_svg_is_valid_xml(self, pair_dir):
         tree = ET.parse(pair_dir / "pair_trace.svg")
@@ -259,10 +295,18 @@ class TestConfigIntegration:
             main(["chain", "--seed", "1"])
         assert exc.value.code == 2
 
-    def test_unstable_step_exits_with_numerical_failure(self, tmp_path, capsys):
-        # dt far beyond the RK4 stability limit: positivity is lost in the first step
+    def test_zero_coupling_pair_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dt = 5 ns\nt_final = 100 ns\n")
+        cfg.write_text("g_mc = 0 MHz\n")
+        assert main(["pair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "g_mc" in capsys.readouterr().err
+
+    def test_unstable_step_exits_with_numerical_failure(self, tmp_path, capsys):
+        # The pair grid caps dt at the quarter period, where the exchange alone is
+        # stable; a 2000 MHz cavity decay puts that step beyond the RK4 stability
+        # limit, so positivity is lost in the first step.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 5 ns\nt_final = 100 ns\nkappa_d = 2000 MHz\n")
         assert main(["pair", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "positive semidefinite" in capsys.readouterr().err
 
@@ -298,7 +342,7 @@ class TestDeterminismAndErrors:
         (np.int64(-7), "-7"),
         (np.float64(1 / 3), "0.333333333"),
         (np.float32(0.1), "0.100000001"),
-        (np.bool_(True), "True"),  # not a Python bool: falls through to str()
+        (np.bool_(True), "true"),
         (True, "true"),
         (False, "false"),
         (3, "3"),

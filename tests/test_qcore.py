@@ -111,6 +111,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="positive semidefinite"):
             DensityMatrix(qubit_space("a", "b"), m)
 
+    @pytest.mark.parametrize("cell", [(2, 2), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_entry_rejected(self, cell):
+        m = np.eye(4, dtype=complex) / 4
+        m[cell] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(qubit_space("a", "b"), m)
+
     def test_matrix_is_readonly(self):
         rho = bell_state("psi_minus")
         with pytest.raises(ValueError):
