@@ -6,6 +6,8 @@ Layers, bottom up:
   matrices, Bell/Werner states, concurrence and fidelity.
 * :mod:`magrep.params` - node parameters and the integration error type,
   in plain Python.
+* :mod:`magrep.excitation` - the pair run on the node's single-excitation
+  block, in plain Python.
 * :mod:`magrep.dynamics` - Lindblad-equation node model producing the
   heralded cavity-magnon Bell pair.
 * :mod:`magrep.swap` - beam-splitter interference, Bell-state measurement
@@ -44,7 +46,9 @@ _HOMES = {
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = ("cli", "config", "dynamics", "network", "params", "qcore", "svgplot", "swap")
+_SUBMODULES = (
+    "cli", "config", "dynamics", "excitation", "network", "params", "qcore", "svgplot", "swap",
+)
 
 __all__ = sorted(_HOME)
 

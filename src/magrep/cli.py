@@ -55,17 +55,17 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 def cmd_pair(cfg: RunConfig) -> list[Path]:
     """Trace pair generation on the quarter-period grid; its record there is the heralded state."""
-    from . import dynamics  # numpy loads here, so chain and sweep never pay for it
+    from . import excitation  # imported here, so chain and sweep never load it
 
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
     if p.dim_c != 2 or p.dim_m != 2:
         raise ConfigError("the pair command requires dim_c = dim_m = 2")
     out = _ensure_out_dir(cfg)
-    n_q = dynamics.pair_steps(p, dt=cfg.dt)
-    step = dynamics.pair_generation_time(p) / n_q
+    n_q = excitation.pair_steps(p, dt=cfg.dt)
+    step = excitation.pair_generation_time(p) / n_q
     # to the first grid point at or after t_final; default three quarter periods, never < one
     n_steps = 3 * n_q if cfg.t_final is None else max(n_q, math.ceil(cfg.t_final / step - 1e-9))
-    trace = dynamics.evolve(dynamics.initial_pair_state(p), p, n_steps * step, dt=step)
+    trace = excitation.integrate_pair(p, n_steps * step, n_steps)
 
     rows = [
         [t * 1e9, c, *pops]
@@ -82,14 +82,14 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
     labels = ["00", "01", "10", "11"]
     dm_rows = [
         [a, b, z.real, z.imag, abs(z)]
-        for a, row in zip(labels, trace.states[n_q]) for b, z in zip(labels, row)
+        for a, row in zip(labels, trace.state(n_q)) for b, z in zip(labels, row)
     ]
     dm_header = ["row_label", "col_label", "re", "im", "abs"]
     files.append(_write_csv(out / "pair_dm.csv", dm_header, dm_rows))
 
     if "svg" in cfg.formats:
         chart = LineChart("Pair generation", "time (ns)", "concurrence")
-        chart.add("concurrence", trace.times * 1e9, trace.concurrences)
+        chart.add("concurrence", [t * 1e9 for t in trace.times], trace.concurrences)
         files.append(_write(out / "pair_trace.svg", chart.render()))
     return files
 

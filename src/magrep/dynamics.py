@@ -15,15 +15,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .excitation import (  # noqa: F401  (re-exported for callers of magrep.dynamics)
+    default_step,
+    pair_generation_time,
+    pair_steps,
+)
 from .params import (  # noqa: F401  (re-exported for callers of magrep.dynamics)
+    HERMITIAN_TOL,
+    PSD_TOL,
+    TRACE_DRIFT_LIMIT,
     TWO_PI,
     IntegrationError,
     LindbladParams,
     MaterialParams,
 )
 from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this binding)
-    HERMITIAN_TOL,
-    PSD_TOL,
     DensityMatrix,
     HilbertSpec,
     basis_ket,
@@ -35,15 +41,9 @@ from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this bin
 
 HBAR = 1.054571817e-34  # J s
 
-# Target phase advance per integration step, in radians of the fastest scale.
-_STEP_PHASE_BUDGET = 0.005
-
 # Positivity slack allowed on recorded integration output (looser than the
 # construction default because the integrator accumulates roundoff).
 _EVOLVE_PSD_TOL = 1e-7
-
-# Trace drift beyond this is an integration failure, never renormalized.
-TRACE_DRIFT_LIMIT = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,18 +157,6 @@ def _hamiltonian_for(p: LindbladParams, which: str) -> np.ndarray:
     if which == "full":
         return build_full_hamiltonian(p)
     raise ValueError(f"hamiltonian must be 'rwa' or 'full', got {which!r}")
-
-
-def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
-    """Step size keeping the fastest phase advance near 0.005 rad per step."""
-    if hamiltonian == "rwa":
-        scale = p.g_mc
-    else:
-        scale = p.omega_c + p.omega_m + 2.0 * p.g_mc
-    scale = max(scale, p.kappa_d, p.gamma_d, p.kappa_phi, p.gamma_phi)
-    if scale <= 0:
-        raise ValueError("cannot choose a default step for an all-zero parameter set")
-    return _STEP_PHASE_BUDGET / scale
 
 
 def _effective_hamiltonian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -396,19 +384,6 @@ def target_pair_state(p: LindbladParams | None = None) -> DensityMatrix:
     return DensityMatrix.from_ket(space, ket)
 
 
-def pair_generation_time(p: LindbladParams) -> float:
-    """Quarter of the excitation-exchange period, when entanglement peaks."""
-    if p.g_mc <= 0:
-        raise ValueError("pair generation requires g_mc > 0")
-    return math.pi / (4.0 * p.g_mc)
-
-
-def pair_steps(p: LindbladParams, hamiltonian: str = "rwa", dt: float | None = None) -> int:
-    """Steps of :func:`generate_bell_pair`: ``dt`` shrunk to land on the quarter period, >= 1."""
-    dt = default_step(p, hamiltonian) if dt is None else dt
-    return max(1, math.ceil(pair_generation_time(p) / dt - 1e-9))
-
-
 def generate_bell_pair(
     p: LindbladParams,
     hamiltonian: str = "rwa",
@@ -416,10 +391,14 @@ def generate_bell_pair(
 ) -> tuple[DensityMatrix, float]:
     """Evolve |0_m 1_c> for a quarter exchange period under the lossy model.
 
-    Returns the resulting joint state and its fidelity to the ideal pair.
+    ``dt`` is shrunk to whole steps of the quarter period; one beyond it
+    becomes a single step. Returns the resulting joint state and its fidelity
+    to the ideal pair.
     """
+    t_q = pair_generation_time(p)
+    n_steps = pair_steps(p, hamiltonian, dt)
     state = evolve(
-        initial_pair_state(p), p, pair_generation_time(p), dt=dt,
-        record_every=max(1, pair_steps(p, hamiltonian, dt) // 64), hamiltonian=hamiltonian,
+        initial_pair_state(p), p, t_q, dt=t_q / n_steps,
+        record_every=max(1, n_steps // 64), hamiltonian=hamiltonian,
     ).final_state
     return state, fidelity(state, target_pair_state(p))

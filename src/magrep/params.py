@@ -1,7 +1,7 @@
-"""Node inputs and the integration failure type, in plain Python.
+"""Node inputs, the integration failure type and its tolerances, in plain Python.
 
 Kept free of numpy so that ``config`` and ``cli`` can build a run
-configuration, and ``chain``/``sweep`` can run, without loading the numerical
+configuration, and every CLI command can run, without loading the numerical
 layers. :mod:`magrep.dynamics` re-exports every name defined here.
 
 Units: all frequencies and rates are angular (rad/s).
@@ -14,6 +14,14 @@ from dataclasses import dataclass
 from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
+
+# Checks on every recorded state, shared by both node integrators and by
+# qcore's state validation (absolute): Hermiticity max|rho - rho^dag|, the
+# floor on the smallest eigenvalue, and the trace drift, which is never
+# renormalized away.
+HERMITIAN_TOL = 1e-9
+PSD_TOL = 1e-9
+TRACE_DRIFT_LIMIT = 1e-6
 
 
 class IntegrationError(RuntimeError):

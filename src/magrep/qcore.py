@@ -16,11 +16,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .params import HERMITIAN_TOL, PSD_TOL
+
 # Comparison / validation tolerances (absolute).
 DEFAULT_ATOL = 1e-10
-HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-6
-PSD_TOL = 1e-9
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

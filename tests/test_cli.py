@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magrep import dynamics, network
+from magrep import dynamics, excitation, network
 from magrep.cli import _fmt, exit_code_for, main
 from magrep.config import ConfigError
 from magrep.dynamics import IntegrationError
@@ -69,21 +69,22 @@ class TestPairCommand:
     def test_one_integration_whose_quarter_period_record_is_the_snapshot(
         self, tmp_path, monkeypatch, t_final_ns, quarters
     ):
-        traces, generated = [], []
-        evolve = dynamics.evolve
+        traces, numpy_runs = [], []
+        integrate_pair = excitation.integrate_pair
 
-        def recording_evolve(*args, **kwargs):
-            traces.append(evolve(*args, **kwargs))
+        def recording_integrate(*args, **kwargs):
+            traces.append(integrate_pair(*args, **kwargs))
             return traces[-1]
 
-        monkeypatch.setattr(dynamics, "evolve", recording_evolve)
-        monkeypatch.setattr(dynamics, "generate_bell_pair", lambda *a, **k: generated.append(a))
+        monkeypatch.setattr(excitation, "integrate_pair", recording_integrate)
+        for name in ("evolve", "generate_bell_pair"):
+            monkeypatch.setattr(dynamics, name, lambda *a, name=name, **k: numpy_runs.append(name))
         args = ["pair", "--out", str(tmp_path)]
         if t_final_ns is not None:  # shorter than the quarter period
             (tmp_path / "run.cfg").write_text(f"t_final = {t_final_ns} ns\n")
             args += ["--config", str(tmp_path / "run.cfg")]
         assert main(args) == 0
-        assert len(traces) == 1 and generated == []
+        assert len(traces) == 1 and numpy_runs == []
 
         [trace] = traces
         p = dynamics.LindbladParams()
@@ -93,9 +94,9 @@ class TestPairCommand:
         assert trace.times[n_q] == pytest.approx(t_q, rel=1e-12)
         assert trace.times[-1] == pytest.approx(quarters * t_q, rel=1e-12)
         _, rows = read_csv(tmp_path / "pair_dm.csv")
-        rho = trace.states[n_q]
+        rho = trace.state(n_q)
         assert rows == [
-            [a, b, _fmt(rho[i, j].real), _fmt(rho[i, j].imag), _fmt(abs(rho[i, j]))]
+            [a, b, _fmt(rho[i][j].real), _fmt(rho[i][j].imag), _fmt(abs(rho[i][j]))]
             for i, a in enumerate(["00", "01", "10", "11"])
             for j, b in enumerate(["00", "01", "10", "11"])
         ]

@@ -1,4 +1,4 @@
-"""Top-level package surface: lazy public names and the numpy-free chain path."""
+"""Top-level package surface: lazy public names and the numpy-free CLI commands."""
 import importlib
 import os
 import subprocess
@@ -43,9 +43,12 @@ def test_public_api_is_importable():
 
 
 def test_dynamics_keeps_the_moved_names():
-    from magrep import dynamics, params
-    for name in ("LindbladParams", "MaterialParams", "IntegrationError", "TWO_PI"):
+    from magrep import dynamics, excitation, params
+    for name in ("LindbladParams", "MaterialParams", "IntegrationError", "TWO_PI",
+                 "HERMITIAN_TOL", "PSD_TOL", "TRACE_DRIFT_LIMIT"):
         assert getattr(dynamics, name) is getattr(params, name)
+    for name in ("default_step", "pair_generation_time", "pair_steps"):
+        assert getattr(dynamics, name) is getattr(excitation, name)
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -63,6 +66,8 @@ def test_chain_and_sweep_never_import_numpy(tmp_path):
                                 "--format", "csv,svg", "--out", out + "/chain"]) == 0
         assert magrep.cli.main(["sweep", "--scenario", "metro-c", "--sweep-axis", "length",
                                 "--sweep-values", "5,10,20", "--out", out + "/sweep"]) == 0
+        assert magrep.cli.main(["pair", "--format", "csv,svg", "--out", out + "/pair"]) == 0
+        assert magrep.cli.main(["pair", "--ideal", "--out", out + "/ideal"]) == 0
         print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
     """)
     env = dict(os.environ)
@@ -72,7 +77,8 @@ def test_chain_and_sweep_never_import_numpy(tmp_path):
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
-    for name in ("chain/chain.csv", "chain/chain.svg", "sweep/sweep.csv"):
+    for name in ("chain/chain.csv", "chain/chain.svg", "sweep/sweep.csv", "pair/pair_trace.csv",
+                 "pair/pair_dm.csv", "pair/pair_trace.svg", "ideal/pair_trace.csv"):
         assert (tmp_path / name).stat().st_size > 0
 
 
