@@ -19,7 +19,16 @@ from .config import ConfigError, RunConfig, load_config
 from .params import IntegrationError
 from .svgplot import LineChart
 
-SWEEP_AXES = ("mux", "conv", "hops", "length")
+# The field each sweep axis sets: hops on the run, the others on its scenario.
+_SWEEP_FIELDS = {"mux": "m_mux", "conv": "eta_conv", "hops": "hops", "length": "l_span"}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
+
+# Most CSV rows one chain or sweep may write (one per hop per chain). At the
+# default noise the conditional fidelity prints as the fully mixed 0.25 from
+# hop 222 on, so longer chains add no information. 10,000 rows is at most
+# about 0.5 MB of CSV and a fraction of a second of work, and 50 times the
+# largest run of the benchmark (32 hops x 6 sweep values).
+MAX_CSV_ROWS = 10_000
 
 
 def _fmt(value) -> str:
@@ -44,6 +53,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return _write(path, "\n".join(lines) + "\n")
 
 
+def _check_row_count(runs: list[RunConfig]) -> None:
+    """Refuse, before any output exists, runs whose CSV would exceed MAX_CSV_ROWS rows."""
+    rows = sum(run.hops for run in runs)
+    if rows > MAX_CSV_ROWS:
+        raise ConfigError(
+            f"hops: {rows} CSV rows requested (one per hop), above the limit of {MAX_CSV_ROWS}"
+        )
+
+
 def _ensure_out_dir(cfg: RunConfig) -> Path:
     out = cfg.output_dir
     try:
@@ -64,7 +82,8 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
     n_q = excitation.pair_steps(p, dt=cfg.dt)
     step = excitation.pair_generation_time(p) / n_q
     # to the first grid point at or after t_final; default three quarter periods, never < one
-    n_steps = 3 * n_q if cfg.t_final is None else max(n_q, math.ceil(cfg.t_final / step - 1e-9))
+    t_final = cfg.t_final
+    n_steps = 3 * n_q if t_final is None else max(n_q, excitation.whole_steps(t_final, step))
     trace = excitation.integrate_pair(p, n_steps * step, n_steps)
 
     rows = [
@@ -96,6 +115,7 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
 
 def cmd_chain(cfg: RunConfig) -> list[Path]:
     """Per-hop fidelity, concurrence and success probabilities for one chain."""
+    _check_row_count([cfg])
     out = _ensure_out_dir(cfg)
     report = network.simulate_chain(cfg.scenario, cfg.hops, cfg.noise, cfg.pclick_override)
     files = [
@@ -119,31 +139,32 @@ def cmd_chain(cfg: RunConfig) -> list[Path]:
     return files
 
 
-def _sweep_scenario(cfg: RunConfig, axis: str, value: float):
-    """One (scenario, hops) variant per sweep point; the constructors check its range."""
-    s = cfg.scenario
-    if axis in ("mux", "hops") and value != int(value):
-        raise ConfigError(f"{axis} sweep values must be integers, got {value}")
-    if axis == "mux":
-        return network.with_mux(s, int(value)), cfg.hops
-    if axis == "conv":
-        return network.with_conversion(s, value), cfg.hops
+def _sweep_run(cfg: RunConfig, axis: str, value: float) -> RunConfig:
+    """The run at one sweep point; the constructors check the swept value's range."""
+    if axis not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+    if axis in ("mux", "hops"):
+        if value != int(value):
+            raise ConfigError(f"{axis} sweep values must be integers, got {value}")
+        value = int(value)
     if axis == "hops":
-        return s, int(value)
-    if axis == "length":
-        return network.with_span(s, value), cfg.hops
-    raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
+        return dataclasses.replace(cfg, hops=value)
+    return dataclasses.replace(
+        cfg, scenario=dataclasses.replace(cfg.scenario, **{_SWEEP_FIELDS[axis]: value})
+    )
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> list[Path]:
     """Chain reports across one swept parameter, one CSV row per value per hop."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    values = sorted(values)
+    runs = [_sweep_run(cfg, axis, value) for value in values]
+    _check_row_count(runs)
     out = _ensure_out_dir(cfg)
     rows = []
-    for value in sorted(values):
-        scenario, hops = _sweep_scenario(cfg, axis, value)
-        report = network.simulate_chain(scenario, hops, cfg.noise, cfg.pclick_override)
+    for value, run in zip(values, runs):
+        report = network.simulate_chain(run.scenario, run.hops, run.noise, run.pclick_override)
         for r in report.hops:
             rows.append(
                 [axis, value, r.hop, r.fidelity, r.concurrence, report.p_click,
@@ -164,26 +185,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="magrep",
         description="Cavity-magnon repeater chain simulator",
     )
+    # Each command declares only the flags it reads, so an ignored flag is a usage error;
+    # a flag a command lacks reads as unset.
+    parser.set_defaults(scenario=None, hops=None, format=None, pclick_override=None, ideal=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("pair", "simulate lossy pair generation at one node"),
-        ("chain", "evaluate a multi-hop repeater chain"),
-        ("sweep", "sweep one chain parameter"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", help="built-in scenario name (chip-a .. metro-c)")
-        p.add_argument("--hops", type=int, help="number of chain hops")
+    pair = sub.add_parser("pair", help="simulate lossy pair generation at one node")
+    chain = sub.add_parser("chain", help="evaluate a multi-hop repeater chain")
+    sweep = sub.add_parser("sweep", help="sweep one chain parameter")
+    for p in (pair, chain, sweep):
         p.add_argument("--config", help="config file (key = value [unit] lines)")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--format", help="comma-separated outputs: csv,svg (default csv)")
+    for p in (chain, sweep):
+        p.add_argument("--scenario", help="built-in scenario name (chip-a .. metro-c)")
+        p.add_argument("--hops", type=int, help="number of chain hops")
         p.add_argument("--pclick-override", type=float, dest="pclick_override",
                        help="pin the single-channel click probability")
-        p.add_argument("--ideal", action="store_true",
-                       help="zero all dissipation rates (pair command)")
-        if name == "sweep":
-            p.add_argument("--sweep-axis", required=True, choices=SWEEP_AXES)
-            p.add_argument("--sweep-values", required=True,
-                           help="comma-separated values for the swept axis")
+    for p in (pair, chain):
+        p.add_argument("--format", help="comma-separated outputs: csv,svg (default csv)")
+    pair.add_argument("--ideal", action="store_true", help="zero all dissipation rates")
+    sweep.add_argument("--sweep-axis", required=True, choices=SWEEP_AXES)
+    sweep.add_argument("--sweep-values", required=True,
+                       help="comma-separated values for the swept axis")
     return parser
 
 

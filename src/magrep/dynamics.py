@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .excitation import (  # noqa: F401  (re-exported for callers of magrep.dynamics)
+from .excitation import (  # noqa: F401  (the step rules are re-exported for callers)
+    check_hamiltonian,
     default_step,
     pair_generation_time,
     pair_steps,
+    whole_steps,
 )
 from .params import (  # noqa: F401  (re-exported for callers of magrep.dynamics)
     HERMITIAN_TOL,
@@ -40,10 +42,6 @@ from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this bin
 )
 
 HBAR = 1.054571817e-34  # J s
-
-# Positivity slack allowed on recorded integration output (looser than the
-# construction default because the integrator accumulates roundoff).
-_EVOLVE_PSD_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +68,7 @@ class EvolutionTrace:
 
     @property
     def final_state(self) -> DensityMatrix:
-        return DensityMatrix(self.space, self.states[-1], psd_tol=_EVOLVE_PSD_TOL)
+        return DensityMatrix(self.space, self.states[-1])
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -152,11 +150,8 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, collapses: np.ndarray
 
 
 def _hamiltonian_for(p: LindbladParams, which: str) -> np.ndarray:
-    if which == "rwa":
-        return build_rwa_hamiltonian(p)
-    if which == "full":
-        return build_full_hamiltonian(p)
-    raise ValueError(f"hamiltonian must be 'rwa' or 'full', got {which!r}")
+    check_hamiltonian(which)
+    return build_rwa_hamiltonian(p) if which == "rwa" else build_full_hamiltonian(p)
 
 
 def _effective_hamiltonian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
@@ -281,7 +276,7 @@ def _propagate_matrix_free(rho: np.ndarray, h: np.ndarray, jumps: np.ndarray, dt
     return out
 
 
-def _check_records(states: np.ndarray, times: np.ndarray, psd_floor: float):
+def _check_records(states: np.ndarray, times: np.ndarray):
     """Batched invariant checks on every recorded state; the earliest failure raises.
 
     Every comparison is written so that NaN fails it. Returns the trace
@@ -298,7 +293,7 @@ def _check_records(states: np.ndarray, times: np.ndarray, psd_floor: float):
          np.max(np.abs(states), axis=(1, 2))),
         (tr_err <= TRACE_DRIFT_LIMIT, "trace drifted by", tr_err),
         (herm_err <= HERMITIAN_TOL, "matrix not Hermitian: max deviation", herm_err),
-        (min_eig >= psd_floor, "matrix not positive semidefinite: min eigenvalue", min_eig),
+        (min_eig >= -PSD_TOL, "matrix not positive semidefinite: min eigenvalue", min_eig),
     )
     ok = np.logical_and.reduce([passed for passed, _, _ in checks])
     if not ok.all():
@@ -326,8 +321,9 @@ def evolve(
     model rates cheaper for this D and step count.
 
     Every recorded state is checked: entries finite, trace within 1e-6 of 1,
-    Hermitian within 1e-9 and eigenvalues >= -1e-7 (>= -1e-9 for two qubits,
-    where the concurrence needs it). A failure raises
+    Hermitian within 1e-9 and eigenvalues >= -1e-9, the one positivity floor
+    (``params.PSD_TOL``) that :class:`DensityMatrix`, the concurrence and the
+    fidelity also apply, at every truncation. A failure raises
     :class:`IntegrationError` naming the check, the value and the time; no
     state is renormalized.
     """
@@ -346,7 +342,7 @@ def evolve(
     h = _hamiltonian_for(p, hamiltonian)
     jumps = collapse_operators(p)
     dim = space.dim
-    n_steps = max(1, math.ceil(t_final / dt - 1e-9))
+    n_steps = whole_steps(t_final, dt)
     dt_used = t_final / n_steps
     segments = _segments(n_steps, record_every)
     if _dense_cost(dim, segments) <= _matrix_free_cost(dim, len(jumps), n_steps):
@@ -356,8 +352,7 @@ def evolve(
     times = np.cumsum([0, *segments]) * dt_used
 
     track_concurrence = p.dim_c == 2 and p.dim_m == 2
-    psd_floor = -PSD_TOL if track_concurrence else -_EVOLVE_PSD_TOL
-    tr_errs, herm_errs, min_eigs = _check_records(states, times, psd_floor)
+    tr_errs, herm_errs, min_eigs = _check_records(states, times)
     states.setflags(write=False)
     return EvolutionTrace(
         space=space,

@@ -26,8 +26,20 @@ _STEP_PHASE_BUDGET = 0.005
 ENTRIES = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 1))
 
 
+def check_hamiltonian(name: str) -> None:
+    """Accept the two node Hamiltonians: ``"rwa"`` (rotating frame) and ``"full"`` (lab frame)."""
+    if name not in ("rwa", "full"):
+        raise ValueError(f"hamiltonian must be 'rwa' or 'full', got {name!r}")
+
+
+def whole_steps(span: float, dt: float) -> int:
+    """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1."""
+    return max(1, math.ceil(span / dt - 1e-9))
+
+
 def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
     """Step size keeping the fastest phase advance near 0.005 rad per step."""
+    check_hamiltonian(hamiltonian)
     if hamiltonian == "rwa":
         scale = p.g_mc
     else:
@@ -48,7 +60,7 @@ def pair_generation_time(p: LindbladParams) -> float:
 def pair_steps(p: LindbladParams, hamiltonian: str = "rwa", dt: float | None = None) -> int:
     """Steps of :func:`generate_bell_pair`: ``dt`` shrunk to land on the quarter period, >= 1."""
     dt = default_step(p, hamiltonian) if dt is None else dt
-    return max(1, math.ceil(pair_generation_time(p) / dt - 1e-9))
+    return whole_steps(pair_generation_time(p), dt)
 
 
 def generator(p: LindbladParams) -> list[list[complex]]:

@@ -11,7 +11,7 @@ exact density-matrix pipeline in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
 
@@ -261,15 +261,3 @@ def threshold_hops(nm: NoiseModel, f_min: float = USABLE_FIDELITY_THRESHOLD) -> 
         if fid < f_min - _THRESHOLD_EPS:
             return h
         h += 1
-
-
-def with_mux(s: ScenarioParams, m_mux: int) -> ScenarioParams:
-    return replace(s, m_mux=m_mux)
-
-
-def with_conversion(s: ScenarioParams, eta_conv: float) -> ScenarioParams:
-    return replace(s, eta_conv=eta_conv)
-
-
-def with_span(s: ScenarioParams, l_span: float) -> ScenarioParams:
-    return replace(s, l_span=l_span)

@@ -10,7 +10,7 @@ storage is unapologetically dense.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -45,23 +45,14 @@ _BELL_KETS = {
 }
 
 
-def as_matrix(state) -> np.ndarray:
-    """Return the underlying complex matrix of a state or array-like."""
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    return np.asarray(state, dtype=complex)
-
-
-def matrices_equal(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise equality within an absolute tolerance."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
+    """Entrywise equality of two arrays within an absolute tolerance."""
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= atol))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (dimensions multiply)."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two arrays (dimensions multiply)."""
+    return np.kron(a, b)
 
 
 @dataclass(frozen=True)
@@ -129,16 +120,16 @@ class DensityMatrix:
     """Validated trace-one positive-semidefinite operator on a labeled space.
 
     Construction checks squareness, Hermiticity (1e-9), unit trace (1e-6) and
-    positivity (eigenvalues >= -``psd_tol``); a NaN or infinite entry fails
-    the Hermiticity check. Instances are immutable; the stored array is a
-    read-only copy, so values can safely be shared between threads.
+    positivity (eigenvalues >= -1e-9, ``params.PSD_TOL``, the one floor of
+    every checked state); a NaN or infinite entry fails the Hermiticity
+    check. Instances are immutable; the stored array is a read-only copy, so
+    values can safely be shared between threads.
     """
 
     space: HilbertSpec
     matrix: np.ndarray
-    psd_tol: InitVar[float] = PSD_TOL
 
-    def __post_init__(self, psd_tol: float) -> None:
+    def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         d = self.space.dim
         if m.shape != (d, d):
@@ -150,7 +141,7 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-        if not min_eig >= -psd_tol:
+        if not min_eig >= -PSD_TOL:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -199,13 +190,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(HilbertSpec(kept_subs), t.reshape(d_keep, d_keep))
 
 
-def embed(op, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:
-    """Lift an operator acting on the listed subsystems to the full space.
+def embed(op: np.ndarray, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:
+    """Lift an operator array acting on the listed subsystems to the full space.
 
     ``op`` acts on the tensor product of the named subsystems in the order
     given; identity is applied everywhere else.
     """
-    op = as_matrix(op)
     dims = space.dims
     n = len(dims)
     pos = [space.index(lbl) for lbl in labels]
@@ -279,12 +269,12 @@ def concurrences(rhos) -> np.ndarray:
     return np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
 
 
-def concurrence(rho) -> float:
+def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence, 0 (separable) to 1 (maximally entangled)."""
-    return float(concurrences(as_matrix(rho)[None])[0])
+    return float(concurrences(rho.matrix[None])[0])
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 in [0, 1].
 
     Evaluated as the squared trace norm of ``phi_rho^dagger phi_sigma`` for the
@@ -292,8 +282,7 @@ def fidelity(rho, sigma) -> float:
     singular values of sqrt(rho) sqrt(sigma) but needs no matrix square root;
     the form is also symmetric in its arguments.
     """
-    a = as_matrix(rho)
-    b = as_matrix(sigma)
+    a, b = rho.matrix, sigma.matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     s = np.linalg.svd(_psd_factor(a).conj().T @ _psd_factor(b), compute_uv=False)

@@ -56,16 +56,11 @@ def _build_outcomes() -> tuple[BellOutcome, ...]:
 BELL_OUTCOMES: tuple[BellOutcome, ...] = _build_outcomes()
 
 
-def bell_outcome(key: int | str) -> BellOutcome:
-    """Look up an outcome by index (0..3) or label."""
-    if isinstance(key, str):
-        for o in BELL_OUTCOMES:
-            if o.label == key:
-                return o
-        raise ValueError(f"unknown outcome {key!r}; expected one of {BELL_LABELS}")
-    if not 0 <= key <= 3:
-        raise ValueError(f"outcome index {key} outside 0..3")
-    return BELL_OUTCOMES[key]
+def bell_outcome(label: str) -> BellOutcome:
+    """Look up an outcome by its Bell label (one of ``BELL_LABELS``)."""
+    if label not in BELL_LABELS:
+        raise ValueError(f"unknown outcome {label!r}; expected one of {BELL_LABELS}")
+    return BELL_OUTCOMES[BELL_LABELS.index(label)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +122,13 @@ def bsm(
     rho: DensityMatrix,
     qubit_a: str,
     qubit_b: str,
-    outcome: int | str | None = None,
-    rng: np.random.Generator | int | None = None,
+    outcome: str | None = None,
+    rng: np.random.Generator | None = None,
 ) -> SwapResult:
     """Bell-state measurement on qubits (a, b) of a four-qubit state.
 
-    Pass ``outcome`` to select a branch deterministically, or ``rng`` (a seed
-    or a Generator, owned by the caller) to sample one. The two surviving
+    Pass ``outcome``, a Bell label, to select a branch deterministically, or
+    ``rng``, a Generator owned by the caller, to sample one. The two surviving
     qubits are renormalized, and the outcome's Pauli correction is applied to
     the second survivor so every branch lands on the same target pair.
     """
@@ -147,9 +142,7 @@ def bsm(
             )
     else:
         if rng is None:
-            raise ValueError("pass either a deterministic outcome or an rng seed/Generator")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
+            raise ValueError("pass either a deterministic outcome or an rng Generator")
         weights = np.clip(probs, 0.0, None)
         chosen = BELL_OUTCOMES[int(rng.choice(4, p=weights / weights.sum()))]
 

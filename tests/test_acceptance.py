@@ -203,9 +203,9 @@ def test_criterion_04_swap_oracle_equivalence():
     worst = 0.0
     for _ in range(50):
         rho = qcore.DensityMatrix(space, ginibre_matrix(rng, 16))
-        for j in range(4):
-            result = swap.bsm(rho, "q1", "q2", outcome=j)
-            prob_bf, post_bf = brute_force_bsm(rho.matrix, j)
+        for o in swap.BELL_OUTCOMES:
+            result = swap.bsm(rho, "q1", "q2", outcome=o.label)
+            prob_bf, post_bf = brute_force_bsm(rho.matrix, o.index)
             worst = max(
                 worst,
                 abs(result.probability - prob_bf),
@@ -215,9 +215,9 @@ def test_criterion_04_swap_oracle_equivalence():
         bell_state("psi_minus", ("q0", "q1")), bell_state("psi_minus", ("q2", "q3"))
     )
     worst_fid_gap = max(
-        abs(1.0 - fidelity(swap.bsm(singlets, "q1", "q2", outcome=j).post_state,
+        abs(1.0 - fidelity(swap.bsm(singlets, "q1", "q2", outcome=label).post_state,
                            bell_state("psi_minus")))
-        for j in range(4)
+        for label in qcore.BELL_LABELS
     )
     _check(
         4,
@@ -309,8 +309,9 @@ def test_criterion_09_scenario_table_ingestion():
         for s in BUILTIN_SCENARIOS.values()
     )
     metro_a_click = network.click_probability(BUILTIN_SCENARIOS["metro-a"])
-    base = network.with_conversion(BUILTIN_SCENARIOS["metro-b"], 0.3)
-    ratio = network.click_probability(network.with_conversion(base, 0.6)) / network.click_probability(base)
+    base = dataclasses.replace(BUILTIN_SCENARIOS["metro-b"], eta_conv=0.3)
+    doubled = dataclasses.replace(base, eta_conv=0.6)
+    ratio = network.click_probability(doubled) / network.click_probability(base)
     _check(
         9,
         "scenario table round-trips; conversion bottleneck and fourth-power scaling hold",

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from magrep import dynamics, excitation, network
-from magrep.cli import _fmt, exit_code_for, main
-from magrep.config import ConfigError
+from magrep.cli import MAX_CSV_ROWS, _fmt, _sweep_run, exit_code_for, main
+from magrep.config import ConfigError, RunConfig
 from magrep.dynamics import IntegrationError
 
 
@@ -216,6 +216,16 @@ class TestSweepCommand:
         _, rows = read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 6
 
+    def test_each_axis_sets_its_field(self):
+        cfg = RunConfig(scenario=network.BUILTIN_SCENARIOS["metro-c"], hops=3)
+        mux = _sweep_run(cfg, "mux", 8.0)
+        assert mux.scenario.m_mux == 8 and isinstance(mux.scenario.m_mux, int)
+        assert _sweep_run(cfg, "conv", 0.5).scenario.eta_conv == 0.5
+        assert _sweep_run(cfg, "length", 20.0).scenario.l_span == 20.0
+        hops = _sweep_run(cfg, "hops", 7.0)
+        assert hops.hops == 7 and hops.scenario == cfg.scenario
+        assert all(_sweep_run(cfg, axis, 1.0).hops == 3 for axis in ("mux", "conv", "length"))
+
     def test_illegal_axis_value_names_axis(self, capsys):
         assert main([
             "sweep", "--sweep-axis", "mux", "--sweep-values", "2.5",
@@ -243,6 +253,32 @@ class TestSweepCommand:
                      "--out", str(out)]) == 2
         assert "--sweep-values" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+class TestOutputBound:
+    def test_chain_at_the_limit_runs(self, tmp_path):
+        assert main(["chain", "--hops", str(MAX_CSV_ROWS), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "chain.csv")
+        assert len(rows) == MAX_CSV_ROWS
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--hops", str(MAX_CSV_ROWS + 1)],
+        ["chain", "--hops", "100000000"],
+        ["sweep", "--sweep-axis", "hops", "--sweep-values", f"5000,{MAX_CSV_ROWS - 4999}"],
+        ["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2,3", "--hops", "3334"],
+    ])
+    def test_oversized_run_is_rejected_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "hops" in err and f"limit of {MAX_CSV_ROWS}" in err
+        assert not out.exists()
+
+    def test_oversized_config_file_chain_is_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hops = {MAX_CSV_ROWS + 1}\n")
+        assert main(["chain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigIntegration:
@@ -289,6 +325,21 @@ class TestConfigIntegration:
         out = tmp_path / "out"
         assert main(["chain", flag, value, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pair", "--hops", "3"],
+        ["pair", "--scenario", "metro-c"],
+        ["pair", "--pclick-override", "0.5"],
+        ["chain", "--ideal"],
+        ["sweep", "--sweep-axis", "mux", "--sweep-values", "1", "--format", "csv"],
+        ["sweep", "--sweep-axis", "mux", "--sweep-values", "1", "--ideal"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_seed_flag_is_gone(self):

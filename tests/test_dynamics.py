@@ -409,13 +409,28 @@ class TestPropagationCore:
     def test_record_checks_fail_on_nan_and_name_the_time(self):
         states = np.array([np.eye(2, dtype=complex) / 2] * 3)
         times = np.array([0.0, 1e-9, 2e-9])
-        _check_records(states, times, -1e-9)
+        _check_records(states, times)
         states[2, 0, 1] = np.nan
         with pytest.raises(IntegrationError, match="non-finite.*t=2.000e-09"):
-            _check_records(states, times, -1e-9)
+            _check_records(states, times)
         states[1, 0, 1] = 1e-6
         with pytest.raises(IntegrationError, match="not Hermitian.*t=1.000e-09"):
-            _check_records(states, times, -1e-9)
+            _check_records(states, times)
+
+
+    def test_one_positivity_floor_at_every_truncation(self):
+        # an eigenvalue of -5e-8 on a 3x3-mode state: inside no floor, for any D
+        p = LindbladParams(dim_c=3, dim_m=3)
+        states = np.diag([1.0 + 5e-8] + [0.0] * 7 + [-5e-8]).astype(complex)[None]
+        times = np.array([0.0])
+        with pytest.raises(IntegrationError, match="positive semidefinite: min eigenvalue -5.000e-08"):
+            _check_records(states, times)
+        trace = dynamics.EvolutionTrace(
+            space=node_space(p), times=times, states=states, concurrences=None,
+            trace_errors=np.zeros(1), herm_errors=np.zeros(1), min_eigenvalues=np.array([-5e-8]),
+        )
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            trace.final_state
 
 
 class TestGenerateBellPair:

@@ -118,7 +118,7 @@ def test_record_checks_name_the_failure_and_the_time(record, failure):
     for (i, j), z in zip(excitation.ENTRIES, record):
         full[i, j] = z
     with pytest.raises(IntegrationError, match=re.escape(failure)):
-        dynamics._check_records(full[None], np.array([2e-9]), -dynamics.PSD_TOL)
+        dynamics._check_records(full[None], np.array([2e-9]))
 
 
 def test_generate_bell_pair_with_a_step_beyond_the_quarter_period(tmp_path, monkeypatch):
@@ -133,3 +133,22 @@ def test_generate_bell_pair_with_a_step_beyond_the_quarter_period(tmp_path, monk
         ",".join([a, b, _fmt(z.real), _fmt(z.imag), _fmt(abs(z))])
         for a, row in zip(LABELS, state.matrix) for b, z in zip(LABELS, row)
     ]
+
+
+def test_whole_steps_shrinks_dt_to_cover_the_span():
+    assert excitation.whole_steps(1.0, 0.25) == 4
+    assert excitation.whole_steps(1.0, 0.3) == 4
+    assert excitation.whole_steps(0.9, 0.03) == 30  # 0.9 / 0.03 = 30.000000000000004 adds no step
+    assert excitation.whole_steps(0.3, 1.0) == 1
+
+
+@pytest.mark.parametrize("name", ["Full", "exact", "RWA"])
+def test_unknown_hamiltonian_name_is_rejected(name):
+    p = LindbladParams()
+    message = re.escape(f"hamiltonian must be 'rwa' or 'full', got {name!r}")
+    with pytest.raises(ValueError, match=message):
+        excitation.default_step(p, name)
+    with pytest.raises(ValueError, match=message):
+        excitation.pair_steps(p, name)
+    with pytest.raises(ValueError, match=message):
+        dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-11, hamiltonian=name)

@@ -20,9 +20,6 @@ from magrep.network import (
     link_efficiency,
     simulate_chain,
     threshold_hops,
-    with_conversion,
-    with_mux,
-    with_span,
 )
 from magrep.qcore import bell_state, concurrence, fidelity
 from conftest import exact_chain_state
@@ -131,8 +128,8 @@ class TestClickProbability:
         assert pb / pa > 1e6
 
     def test_conversion_fourth_power_scaling(self):
-        base = with_conversion(BUILTIN_SCENARIOS["metro-b"], 0.25)
-        doubled = with_conversion(base, 0.5)
+        base = dataclasses.replace(BUILTIN_SCENARIOS["metro-b"], eta_conv=0.25)
+        doubled = dataclasses.replace(base, eta_conv=0.5)
         ratio = click_probability(doubled) / click_probability(base)
         assert ratio == pytest.approx(16.0, rel=1e-9)
 
@@ -303,12 +300,9 @@ class TestSimulateChain:
 
 
 class TestScenarioDerivation:
-    def test_with_mux(self):
-        assert with_mux(BUILTIN_SCENARIOS["chip-a"], 8).m_mux == 8
-
-    def test_with_span_changes_link_efficiency(self):
-        near = with_span(BUILTIN_SCENARIOS["metro-c"], 1.0)
-        far = with_span(BUILTIN_SCENARIOS["metro-c"], 50.0)
+    def test_span_changes_link_efficiency(self):
+        near = dataclasses.replace(BUILTIN_SCENARIOS["metro-c"], l_span=1.0)
+        far = dataclasses.replace(BUILTIN_SCENARIOS["metro-c"], l_span=50.0)
         assert link_efficiency(near) > link_efficiency(far)
 
     def test_chain_purity_closed_form(self):

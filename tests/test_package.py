@@ -1,5 +1,6 @@
 """Top-level package surface: lazy public names and the numpy-free CLI commands."""
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -49,6 +50,26 @@ def test_dynamics_keeps_the_moved_names():
         assert getattr(dynamics, name) is getattr(params, name)
     for name in ("default_step", "pair_generation_time", "pair_steps"):
         assert getattr(dynamics, name) is getattr(excitation, name)
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every name the benchmark's tracer wraps, and every name node-scan reads, still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("magrep.cli")
+    for module in magrep._SUBMODULES:
+        importlib.import_module(f"magrep.{module}")
+    for _, module, attr_path in tracing.TARGETS:
+        obj = sys.modules[module]
+        for part in attr_path.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr_path}"
+    from magrep import dynamics
+    for name in ("LindbladParams", "generate_bell_pair", "default_step", "pair_generation_time",
+                 "concurrence"):
+        assert callable(getattr(dynamics, name)), name
 
 
 def test_unknown_attribute_raises_attribute_error():

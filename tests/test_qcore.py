@@ -14,6 +14,7 @@ from magrep.qcore import (
     basis_ket,
     bell_state,
     concurrence,
+    concurrences,
     embed,
     fidelity,
     kron,
@@ -212,12 +213,13 @@ class TestEmbed:
         assert matrices_equal(swapped, perm @ op @ perm, atol=1e-12)
 
 
-# Every entry point that factors its argument; all three share one check.
-_METRICS = (
-    concurrence,
-    lambda rho: fidelity(rho, np.eye(4) / 4),
-    lambda rho: fidelity(np.eye(4) / 4, rho),
-)
+# The array entry points that factor their argument; both share one check.
+# (concurrence and fidelity take a DensityMatrix, which cannot hold such a matrix.)
+_METRICS = (_psd_factor, lambda m: concurrences(m[None]))
+
+
+def _two_qubit(m) -> DensityMatrix:
+    return DensityMatrix(qubit_space("a", "b"), m)
 
 
 class TestPsdFactor:
@@ -251,8 +253,9 @@ class TestPsdFactor:
         # an eigenvalue of -1e-10 counts as 0: the state acts as the pure |00>
         m = np.diag([1.0 + 1e-10, 0.0, 0.0, -1e-10])
         assert _psd_factor(m)[3, 0] == 0.0
-        assert concurrence(m) == 0.0
-        assert fidelity(m, np.diag([1.0, 0.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(_two_qubit(m)) == 0.0
+        pure = _two_qubit(np.diag([1.0, 0.0, 0.0, 0.0]))
+        assert fidelity(_two_qubit(m), pure) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4) / 4
@@ -264,8 +267,9 @@ class TestPsdFactor:
     def test_nan_rejected(self):
         m = np.eye(4) / 4
         m[2, 2] = np.nan
-        with pytest.raises(ValueError, match="Hermitian"):
-            concurrence(m)
+        for metric in _METRICS:
+            with pytest.raises(ValueError, match="Hermitian"):
+                metric(m)
 
 
 class TestBellAndWerner:
@@ -318,7 +322,9 @@ class TestConcurrence:
 
     def test_shape_error(self):
         with pytest.raises(ValueError, match="4x4"):
-            concurrence(np.eye(8) / 8)
+            concurrence(DensityMatrix(qubit_space("a", "b", "c"), np.eye(8) / 8))
+        with pytest.raises(ValueError, match="4x4"):
+            concurrences(np.eye(8)[None] / 8)
 
     def test_pure_states_match_closed_form(self, rng):
         # Wootters: C(|psi>) = |psi^T (Y x Y) psi|
@@ -326,13 +332,13 @@ class TestConcurrence:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
             expected = abs(v @ np.kron(PAULI_Y, PAULI_Y) @ v)
-            assert concurrence(np.outer(v, v.conj())) == pytest.approx(expected, abs=1e-12)
+            assert concurrence(_two_qubit(np.outer(v, v.conj()))) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
         # factor route vs the general-eigenvalue route on 200 mixed states
         for _ in range(200):
             m = ginibre_matrix(rng, 4)
-            assert concurrence(m) == pytest.approx(concurrence_oracle(m), abs=1e-6)
+            assert concurrence(_two_qubit(m)) == pytest.approx(concurrence_oracle(m), abs=1e-6)
 
 
 class TestFidelity:
@@ -348,13 +354,13 @@ class TestFidelity:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity(np.eye(4) / 4, np.eye(2) / 2)
+            fidelity(werner_state(0.0), DensityMatrix(qubit_space("a"), np.eye(2) / 2))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_symmetry(self, seed):
         r = np.random.default_rng(seed)
-        a, b = ginibre_matrix(r, 4), ginibre_matrix(r, 4)
+        a, b = _two_qubit(ginibre_matrix(r, 4)), _two_qubit(ginibre_matrix(r, 4))
         assert abs(fidelity(a, b) - fidelity(b, a)) <= 1e-8
 
     @given(seed=st.integers(0, 2**32 - 1))
