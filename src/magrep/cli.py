@@ -14,7 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import network
 from .config import ConfigError, RunConfig, load_config
 from .params import IntegrationError
 from .svgplot import LineChart
@@ -23,15 +22,18 @@ from .svgplot import LineChart
 _SWEEP_FIELDS = {"mux": "m_mux", "conv": "eta_conv", "hops": "hops", "length": "l_span"}
 SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
-# Most CSV rows one chain or sweep may write (one per hop per chain). At the
-# default noise the conditional fidelity prints as the fully mixed 0.25 from
-# hop 222 on, so longer chains add no information. 10,000 rows is at most
-# about 0.5 MB of CSV and a fraction of a second of work, and 50 times the
-# largest run of the benchmark (32 hops x 6 sweep values).
+# Most CSV rows one command may write: one per hop per chain for chain and
+# sweep, one per record for pair. At the default noise the conditional
+# fidelity prints as the fully mixed 0.25 from hop 222 on, so longer chains
+# add no information. 10,000 rows is at most about 0.5 MB of CSV and a
+# fraction of a second of work, 50 times the largest chain run of the
+# benchmark (32 hops x 6 sweep values) and 21 times the default pair trace.
 MAX_CSV_ROWS = 10_000
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; skips the numpy-scalar probe below
+        return format(value, ".9g")
     value = value.item() if hasattr(value, "item") else value  # numpy scalar -> Python
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -53,13 +55,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return _write(path, "\n".join(lines) + "\n")
 
 
-def _check_row_count(runs: list[RunConfig]) -> None:
-    """Refuse, before any output exists, runs whose CSV would exceed MAX_CSV_ROWS rows."""
-    rows = sum(run.hops for run in runs)
+def _check_row_count(rows: int, key: str, per: str) -> None:
+    """Refuse, before any output exists, a run whose CSV would exceed MAX_CSV_ROWS rows."""
     if rows > MAX_CSV_ROWS:
         raise ConfigError(
-            f"hops: {rows} CSV rows requested (one per hop), above the limit of {MAX_CSV_ROWS}"
+            f"{key}: {rows} CSV rows requested ({per}), above the limit of {MAX_CSV_ROWS}"
         )
+
+
+def _chain_run(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with its unset chain-only values resolved: the chip-a scenario, the default noise."""
+    from . import network
+
+    return dataclasses.replace(
+        cfg,
+        scenario=network.BUILTIN_SCENARIOS["chip-a"] if cfg.scenario is None else cfg.scenario,
+        noise=network.NoiseModel() if cfg.noise is None else cfg.noise,
+    )
 
 
 def _ensure_out_dir(cfg: RunConfig) -> Path:
@@ -78,12 +90,16 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
     if p.dim_c != 2 or p.dim_m != 2:
         raise ConfigError("the pair command requires dim_c = dim_m = 2")
+    try:
+        n_q = excitation.pair_steps(p, dt=cfg.dt)
+        step = excitation.pair_generation_time(p) / n_q
+        # to the first grid point at or after t_final; default three quarter periods, never < one
+        t_final = cfg.t_final
+        n_steps = 3 * n_q if t_final is None else max(n_q, excitation.whole_steps(t_final, step))
+    except OverflowError:  # t_q / dt or t_final / step is beyond the largest float
+        n_steps = math.inf
+    _check_row_count(n_steps + 1, "t_final/dt", "one per step, plus t = 0")
     out = _ensure_out_dir(cfg)
-    n_q = excitation.pair_steps(p, dt=cfg.dt)
-    step = excitation.pair_generation_time(p) / n_q
-    # to the first grid point at or after t_final; default three quarter periods, never < one
-    t_final = cfg.t_final
-    n_steps = 3 * n_q if t_final is None else max(n_q, excitation.whole_steps(t_final, step))
     trace = excitation.integrate_pair(p, n_steps * step, n_steps)
 
     rows = [
@@ -115,7 +131,10 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
 
 def cmd_chain(cfg: RunConfig) -> list[Path]:
     """Per-hop fidelity, concurrence and success probabilities for one chain."""
-    _check_row_count([cfg])
+    from . import network  # the chain model; pair never loads it
+
+    cfg = _chain_run(cfg)
+    _check_row_count(cfg.hops, "hops", "one per hop")
     out = _ensure_out_dir(cfg)
     report = network.simulate_chain(cfg.scenario, cfg.hops, cfg.noise, cfg.pclick_override)
     files = [
@@ -156,11 +175,14 @@ def _sweep_run(cfg: RunConfig, axis: str, value: float) -> RunConfig:
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> list[Path]:
     """Chain reports across one swept parameter, one CSV row per value per hop."""
+    from . import network
+
     if not values:
         raise ConfigError("sweep needs at least one value")
+    cfg = _chain_run(cfg)
     values = sorted(values)
     runs = [_sweep_run(cfg, axis, value) for value in values]
-    _check_row_count(runs)
+    _check_row_count(sum(run.hops for run in runs), "hops", "one per hop per chain")
     out = _ensure_out_dir(cfg)
     rows = []
     for value, run in zip(values, runs):
@@ -213,7 +235,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with the given flags applied; RunConfig validates."""
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {
-        "scenario": None if args.scenario is None else network.get_scenario(args.scenario),
         "hops": args.hops,
         "output_dir": args.out,
         "formats": None if args.format is None
@@ -221,6 +242,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "pclick_override": args.pclick_override,
     }
     given = {key: value for key, value in overrides.items() if value is not None}
+    if args.scenario is not None:  # only chain and sweep declare --scenario
+        from . import network
+
+        given["scenario"] = network.get_scenario(args.scenario)
     return dataclasses.replace(cfg, ideal=args.ideal, **given)
 
 

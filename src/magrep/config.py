@@ -22,7 +22,10 @@ Recognized keys:
 
 An inline scenario must be complete (``eta_conv`` may be omitted for purely
 microwave links) and cannot be combined with the ``scenario`` key. An empty
-file yields all defaults: the resonant 10 GHz node and the chip-a scenario.
+file yields all defaults: the resonant 10 GHz node, and no scenario or noise
+model, which ``chain`` and ``sweep`` resolve to chip-a and the default noise.
+Only a file with a scenario, inline-scenario, ``p_link`` or ``q_swap`` key
+loads the chain model, :mod:`magrep.network`.
 
 The parser checks only the text (syntax, units, numbers, integer counts,
 finite values) and reports ``file:line``. Ranges and types are checked by the
@@ -37,7 +40,6 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
-from .network import BUILTIN_SCENARIOS, NoiseModel, ScenarioParams, get_scenario
 from .params import TWO_PI, LindbladParams
 
 OUTPUT_FORMATS = ("csv", "svg")
@@ -51,9 +53,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything one deterministic run needs; the only validator of its values."""
 
-    scenario: ScenarioParams = field(default_factory=lambda: BUILTIN_SCENARIOS["chip-a"])
+    # Chain-only values of magrep.network's types, which this module imports only
+    # to parse chain keys; None is the chip-a scenario and NoiseModel().
+    scenario: ScenarioParams | None = None
     hops: int = 4
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise: NoiseModel | None = None
     lindblad: LindbladParams = field(default_factory=LindbladParams)
     output_dir: Path = field(default_factory=lambda: Path("out"))
     formats: tuple[str, ...] = ("csv",)
@@ -177,27 +181,32 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: inline scenario is missing keys {missing}")
 
     run_kwargs = {k: values[k] for k in ("hops", "pclick_override", *_TIME_KEYS) if k in values}
+    noise_kwargs = {k: values[k] for k in ("p_link", "q_swap") if k in values}
     try:
-        if inline_present:
-            run_kwargs["scenario"] = ScenarioParams(
-                name=values.get("scenario_name", "custom"),
-                alpha=values["alpha"],
-                l_span=values["span"],
-                eta_read=values["eta_read"],
-                eta_conv=values.get("eta_conv"),
-                eta_extra=values["eta_extra"],
-                eta_det=values["eta_det"],
-                eta_col=values["eta_col"],
-                p_bsa=values["p_bsa"],
-                m_mux=values["m_mux"],
-            )
-        elif "scenario" in values:
-            run_kwargs["scenario"] = get_scenario(values["scenario"])
+        if inline_present or "scenario" in values or noise_kwargs:
+            from . import network  # the chain model, loaded only for its own keys
+
+            if inline_present:
+                run_kwargs["scenario"] = network.ScenarioParams(
+                    name=values.get("scenario_name", "custom"),
+                    alpha=values["alpha"],
+                    l_span=values["span"],
+                    eta_read=values["eta_read"],
+                    eta_conv=values.get("eta_conv"),
+                    eta_extra=values["eta_extra"],
+                    eta_det=values["eta_det"],
+                    eta_col=values["eta_col"],
+                    p_bsa=values["p_bsa"],
+                    m_mux=values["m_mux"],
+                )
+            elif "scenario" in values:
+                run_kwargs["scenario"] = network.get_scenario(values["scenario"])
+            if noise_kwargs:
+                run_kwargs["noise"] = network.NoiseModel(**noise_kwargs)
         return RunConfig(
             lindblad=LindbladParams(
                 **{k: values[k] for k in (*_FREQ_KEYS, "dim_c", "dim_m") if k in values}
             ),
-            noise=NoiseModel(**{k: values[k] for k in ("p_link", "q_swap") if k in values}),
             **run_kwargs,
         )
     except ValueError as exc:

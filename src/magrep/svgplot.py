@@ -2,35 +2,26 @@
 authoritative output, these are a visual convenience."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 WIDTH, HEIGHT = 720, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 46, 56
 PALETTE = ("#1f77b4", "#d4a017", "#2ca02c", "#d62728", "#9467bd")
 
 
-@dataclass
-class Series:
-    label: str
-    xs: list[float]
-    ys: list[float]
-    dashed: bool = False
-    color: str | None = None
-
-
-@dataclass
 class LineChart:
-    title: str
-    x_label: str
-    y_label: str
-    series: list[Series] = field(default_factory=list)
+    """Titled axes; each added series is a ``(label, xs, ys, dashed)`` tuple."""
 
-    def add(self, label, xs, ys, dashed=False, color=None) -> None:
-        self.series.append(Series(label, list(map(float, xs)), list(map(float, ys)), dashed, color))
+    def __init__(self, title: str, x_label: str, y_label: str) -> None:
+        self.title = title
+        self.x_label = x_label
+        self.y_label = y_label
+        self.series: list[tuple[str, list[float], list[float], bool]] = []
+
+    def add(self, label: str, xs, ys, dashed: bool = False) -> None:
+        self.series.append((label, list(map(float, xs)), list(map(float, ys)), dashed))
 
     def render(self) -> str:
-        xs = [x for s in self.series for x in s.xs]
-        ys = [y for s in self.series for y in s.ys]
+        xs = [x for _, s_xs, _, _ in self.series for x in s_xs]
+        ys = [y for _, _, s_ys, _ in self.series for y in s_ys]
         if not xs:
             raise ValueError("nothing to plot")
         x0, x1 = min(xs), max(xs)
@@ -79,10 +70,10 @@ class LineChart:
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_esc(self.y_label)}</text>'
         )
-        for i, s in enumerate(self.series):
-            color = s.color or PALETTE[i % len(PALETTE)]
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
-            dash = ' stroke-dasharray="7,5"' if s.dashed else ""
+        for i, (label, s_xs, s_ys, dashed) in enumerate(self.series):
+            color = PALETTE[i % len(PALETTE)]
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s_xs, s_ys))
+            dash = ' stroke-dasharray="7,5"' if dashed else ""
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"{dash}/>'
             )
@@ -94,7 +85,7 @@ class LineChart:
             )
             parts.append(
                 f'<text x="{lx + 32}" y="{ly}" font-family="sans-serif" '
-                f'font-size="12">{_esc(s.label)}</text>'
+                f'font-size="12">{_esc(label)}</text>'
             )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

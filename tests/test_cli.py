@@ -19,6 +19,12 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _pair_step_ns() -> float:
+    """The default pair grid's step, in the config file's ns."""
+    p = dynamics.LindbladParams()
+    return excitation.pair_generation_time(p) / excitation.pair_steps(p) * 1e9
+
+
 @pytest.fixture(scope="module")
 def pair_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("pair")
@@ -280,6 +286,32 @@ class TestOutputBound:
         assert main(["chain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_pair_at_the_limit_runs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_final = {(MAX_CSV_ROWS - 1) * _pair_step_ns()!r} ns\n")
+        assert main(["pair", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "pair_trace.csv")
+        assert len(rows) == MAX_CSV_ROWS
+
+    @pytest.mark.parametrize("line", [
+        "t_final = 1e9 ns",
+        "dt = 1e-20 ns",
+        "dt = 1e-310 ns",  # t_q / dt overflows to inf
+        "t_final = 1e308 ns",
+        f"t_final = {MAX_CSV_ROWS * _pair_step_ns()!r} ns",
+    ])
+    def test_oversized_pair_is_rejected_before_integrating(
+        self, tmp_path, capsys, monkeypatch, line
+    ):
+        monkeypatch.setattr(excitation, "integrate_pair", None)  # must not be reached
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["pair", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "t_final/dt" in err and f"limit of {MAX_CSV_ROWS}" in err
+        assert not out.exists()
+
 
 class TestConfigIntegration:
     def test_config_file_drives_run(self, tmp_path):
@@ -302,6 +334,17 @@ class TestConfigIntegration:
         _, rows = read_csv(out / "chain.csv")
         assert len(rows) == 5
         assert float(rows[0][3]) == pytest.approx(0.18, rel=1e-8)
+
+    def test_empty_config_chain_uses_chip_a_and_default_noise(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("")
+        assert main(["chain", "--config", str(cfg), "--format", "csv,svg",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "chain.csv")
+        chip_a = network.BUILTIN_SCENARIOS["chip-a"]
+        assert rows[0][1] == _fmt((3 * 0.94 + 1) / 4)  # one link at p_link = 0.94
+        assert rows[0][3] == _fmt(network.click_probability(chip_a))
+        assert "Repeater chain (chip-a)" in (tmp_path / "chain.svg").read_text()
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"

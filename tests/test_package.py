@@ -1,6 +1,7 @@
 """Top-level package surface: lazy public names and the numpy-free CLI commands."""
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -77,6 +78,17 @@ def test_unknown_attribute_raises_attribute_error():
         magrep.no_such_name  # noqa: B018
 
 
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with magrep's source on the path; return stdout."""
+    env = dict(os.environ)
+    src = str(Path(magrep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_chain_and_sweep_never_import_numpy(tmp_path):
     code = textwrap.dedent(f"""
         import sys
@@ -91,16 +103,37 @@ def test_chain_and_sweep_never_import_numpy(tmp_path):
         assert magrep.cli.main(["pair", "--ideal", "--out", out + "/ideal"]) == 0
         print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
     """)
-    env = dict(os.environ)
-    src = str(Path(magrep.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _run_fresh(code).splitlines()[-1] == "[]"
     for name in ("chain/chain.csv", "chain/chain.svg", "sweep/sweep.csv", "pair/pair_trace.csv",
                  "pair/pair_dm.csv", "pair/pair_trace.svg", "ideal/pair_trace.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["pair", "--config", "{node_cfg}", "--format", "csv,svg"], ["magrep.excitation"]),
+    (["chain", "--format", "csv,svg"], ["magrep.network"]),
+    (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,8"], ["magrep.network"]),
+])
+def test_each_command_loads_only_its_own_model(tmp_path, argv, added):
+    """``import magrep.cli`` loads what every command needs; a command adds only its model."""
+    node_cfg = tmp_path / "node.cfg"
+    node_cfg.write_text("g_mc = 120 MHz\nkappa_d = 1.5 MHz\n")
+    argv = [arg.format(node_cfg=node_cfg) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code = textwrap.dedent(f"""
+        import json, sys
+
+        def ours():
+            return {{m for m in sys.modules if m.split(".")[0] in ("magrep", "numpy")}}
+
+        import magrep.cli
+        at_import = ours()
+        assert magrep.cli.main({argv!r}) == 0
+        print(json.dumps([sorted(at_import), sorted(ours() - at_import)]))
+    """)
+    at_import, by_command = json.loads(_run_fresh(code).splitlines()[-1])
+    assert at_import == ["magrep", "magrep.cli", "magrep.config", "magrep.params",
+                         "magrep.svgplot"]
+    assert by_command == added
 
 
 def test_version_string():
