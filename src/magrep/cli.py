@@ -9,7 +9,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -67,8 +66,7 @@ def _chain_run(cfg: RunConfig) -> RunConfig:
     """``cfg`` with its unset chain-only values resolved: the chip-a scenario, the default noise."""
     from . import network
 
-    return dataclasses.replace(
-        cfg,
+    return cfg.replace(
         scenario=network.BUILTIN_SCENARIOS["chip-a"] if cfg.scenario is None else cfg.scenario,
         noise=network.NoiseModel() if cfg.noise is None else cfg.noise,
     )
@@ -90,13 +88,14 @@ def cmd_pair(cfg: RunConfig) -> list[Path]:
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
     if p.dim_c != 2 or p.dim_m != 2:
         raise ConfigError("the pair command requires dim_c = dim_m = 2")
+    t_q = excitation.pair_generation_time(p)  # outside the try: g_mc = 0 is no row-count error
     try:
         n_q = excitation.pair_steps(p, dt=cfg.dt)
-        step = excitation.pair_generation_time(p) / n_q
+        step = t_q / n_q
         # to the first grid point at or after t_final; default three quarter periods, never < one
         t_final = cfg.t_final
         n_steps = 3 * n_q if t_final is None else max(n_q, excitation.whole_steps(t_final, step))
-    except OverflowError:  # t_q / dt or t_final / step is beyond the largest float
+    except ValueError:  # whole_steps: t_q / dt or t_final / step is beyond the largest float
         n_steps = math.inf
     _check_row_count(n_steps + 1, "t_final/dt", "one per step, plus t = 0")
     out = _ensure_out_dir(cfg)
@@ -167,10 +166,8 @@ def _sweep_run(cfg: RunConfig, axis: str, value: float) -> RunConfig:
             raise ConfigError(f"{axis} sweep values must be integers, got {value}")
         value = int(value)
     if axis == "hops":
-        return dataclasses.replace(cfg, hops=value)
-    return dataclasses.replace(
-        cfg, scenario=dataclasses.replace(cfg.scenario, **{_SWEEP_FIELDS[axis]: value})
-    )
+        return cfg.replace(hops=value)
+    return cfg.replace(scenario=cfg.scenario.replace(**{_SWEEP_FIELDS[axis]: value}))
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> list[Path]:
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with the given flags applied; RunConfig validates."""
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config, args.command) if args.config else RunConfig()
     overrides = {
         "hops": args.hops,
         "output_dir": args.out,
@@ -246,7 +243,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         from . import network
 
         given["scenario"] = network.get_scenario(args.scenario)
-    return dataclasses.replace(cfg, ideal=args.ideal, **given)
+    return cfg.replace(ideal=args.ideal, **given)
 
 
 def _parse_sweep_values(raw: str) -> list[float]:

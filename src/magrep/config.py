@@ -11,14 +11,19 @@ rad/s), ns (times), km, cm (lengths), dB_per_km, dB_per_cm (attenuation).
 Chip-scale cm quantities are normalized into the km lane by scaling the
 attenuation up and the span down by 100, preserving the span loss product.
 
-Recognized keys:
+Recognized keys, by the command that reads them:
 
-* run control: ``scenario`` (built-in name), ``hops``, ``pclick_override``,
-  ``p_link``, ``q_swap``, ``t_final``, ``dt``
-* node physics: ``omega_c``, ``omega_m``, ``g_mc``, ``kappa_d``,
-  ``gamma_d``, ``kappa_phi``, ``gamma_phi``, ``dim_c``, ``dim_m``
-* inline scenario: ``scenario_name``, ``alpha``, ``span``, ``eta_read``,
-  ``eta_conv``, ``eta_extra``, ``eta_det``, ``eta_col``, ``p_bsa``, ``m_mux``
+* ``pair``: the node physics ``omega_c``, ``omega_m``, ``g_mc``,
+  ``kappa_d``, ``gamma_d``, ``kappa_phi``, ``gamma_phi``, ``dim_c``,
+  ``dim_m``, and the run times ``t_final``, ``dt``
+* ``chain`` and ``sweep``: ``scenario`` (built-in name), ``hops``,
+  ``pclick_override``, ``p_link``, ``q_swap``, and the inline scenario
+  ``scenario_name``, ``alpha``, ``span``, ``eta_read``, ``eta_conv``,
+  ``eta_extra``, ``eta_det``, ``eta_col``, ``p_bsa``, ``m_mux``
+
+:func:`load_config` reads the file of one command and refuses, as
+``file:line``, a key that command does not read; :func:`parse_config_text`
+accepts every key.
 
 An inline scenario must be complete (``eta_conv`` may be omitted for purely
 microwave links) and cannot be combined with the ``scenario`` key. An empty
@@ -36,11 +41,10 @@ field, with frequencies in the stored rad/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
-from .params import TWO_PI, LindbladParams
+from .params import TWO_PI, LindbladParams, Value
 
 OUTPUT_FORMATS = ("csv", "svg")
 
@@ -49,8 +53,7 @@ class ConfigError(ValueError):
     """Unparseable or contradictory run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """Everything one deterministic run needs; the only validator of its values."""
 
     # Chain-only values of magrep.network's types, which this module imports only
@@ -58,8 +61,8 @@ class RunConfig:
     scenario: ScenarioParams | None = None
     hops: int = 4
     noise: NoiseModel | None = None
-    lindblad: LindbladParams = field(default_factory=LindbladParams)
-    output_dir: Path = field(default_factory=lambda: Path("out"))
+    lindblad: LindbladParams = LindbladParams()
+    output_dir: Path = Path("out")
     formats: tuple[str, ...] = ("csv",)
     pclick_override: float | None = None
     ideal: bool = False
@@ -99,8 +102,14 @@ _INLINE_REQUIRED = ("alpha", "span", "eta_read", "eta_extra", "eta_det",
                     "eta_col", "p_bsa", "m_mux")
 _INLINE_KEYS = _INLINE_REQUIRED + ("eta_conv", "scenario_name")
 
-KNOWN_KEYS = frozenset(_FREQ_KEYS) | set(_TIME_KEYS) | set(_FRACTION_KEYS) \
-    | set(_COUNT_KEYS) | set(_NAME_KEYS) | {"alpha", "span"}
+# The keys each CLI command reads: pair the node, chain and sweep the chain model.
+_CHAIN_KEYS = frozenset(("scenario", "hops", "pclick_override", "p_link", "q_swap", *_INLINE_KEYS))
+COMMAND_KEYS = {
+    "pair": frozenset((*_FREQ_KEYS, "dim_c", "dim_m", *_TIME_KEYS)),
+    "chain": _CHAIN_KEYS,
+    "sweep": _CHAIN_KEYS,
+}
+KNOWN_KEYS = COMMAND_KEYS["pair"] | _CHAIN_KEYS
 
 
 def _parse_number(token: str, key: str, where: str) -> float:
@@ -147,9 +156,10 @@ def _parse_value(key: str, value: str, unit: str | None, where: str):
     raise ConfigError(f"{where}: unhandled key {key!r}")  # pragma: no cover
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text into a RunConfig; see the module docstring for keys."""
+def _read_values(text: str, source: str) -> tuple[dict[str, object], dict[str, str]]:
+    """Each key's parsed value, and the ``file:line`` that set it."""
     values: dict[str, object] = {}
+    lines: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         where = f"{source}:{lineno}"
         line = raw.split("#", 1)[0].strip()
@@ -170,7 +180,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{where}: too many tokens after '=' for {key!r}")
         unit = tokens[1] if len(tokens) == 2 else None
         values[key] = _parse_value(key, tokens[0], unit, where)
+        lines[key] = where
+    return values, lines
 
+
+def _run_config(values: dict[str, object], source: str) -> RunConfig:
+    """The run that the parsed ``values`` describe, checked by the constructors."""
     inline_present = [k for k in _INLINE_KEYS if k in values]
     if "scenario" in values and inline_present:
         raise ConfigError(
@@ -213,14 +228,24 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and parse a config file."""
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    """Parse config text into a RunConfig; see the module docstring for keys."""
+    values, _ = _read_values(text, source)
+    return _run_config(values, source)
+
+
+def load_config(path: str | Path, command: str) -> RunConfig:
+    """Read and parse the config file of one CLI command; a key it does not read is an error."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    return parse_config_text(text, source=str(path))
+    values, lines = _read_values(text, str(path))
+    for key in values:
+        if key not in COMMAND_KEYS[command]:
+            raise ConfigError(f"{lines[key]}: the {command} command does not read {key!r}")
+    return _run_config(values, str(path))
 
 
 def scenario_to_config(s: ScenarioParams) -> str:

@@ -11,7 +11,6 @@ Units: all frequencies and rates are angular (rad/s); times are seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .params import (  # noqa: F401  (re-exported for callers of magrep.dynamics
     IntegrationError,
     LindbladParams,
     MaterialParams,
+    Value,
 )
 from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this binding)
     DensityMatrix,
@@ -44,8 +44,7 @@ from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this bin
 HBAR = 1.054571817e-34  # J s
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionTrace:
+class EvolutionTrace(Value, eq=False):
     """Recorded master-equation run.
 
     ``states[k]`` is the checked state at ``times[k]`` in the product basis
@@ -56,11 +55,15 @@ class EvolutionTrace:
 
     space: HilbertSpec
     times: np.ndarray
-    states: np.ndarray = field(repr=False)
+    states: np.ndarray
     concurrences: np.ndarray | None
-    trace_errors: np.ndarray = field(repr=False)
-    herm_errors: np.ndarray = field(repr=False)
-    min_eigenvalues: np.ndarray = field(repr=False)
+    trace_errors: np.ndarray
+    herm_errors: np.ndarray
+    min_eigenvalues: np.ndarray
+
+    def __repr__(self) -> str:  # omits the (n, D, D) state stack and the diagnostic arrays
+        return (f"EvolutionTrace(space={self.space!r}, times={self.times!r}, "
+                f"concurrences={self.concurrences!r})")
 
     @property
     def populations(self) -> np.ndarray:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .params import HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, IntegrationError, LindbladParams
+from .params import (
+    HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, IntegrationError, LindbladParams, Value,
+)
 
 # Target phase advance per integration step, in radians of the fastest scale.
 _STEP_PHASE_BUDGET = 0.005
@@ -33,8 +34,14 @@ def check_hamiltonian(name: str) -> None:
 
 
 def whole_steps(span: float, dt: float) -> int:
-    """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1."""
-    return max(1, math.ceil(span / dt - 1e-9))
+    """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1.
+
+    A ``span / dt`` beyond the largest float has no step count: ``ValueError``.
+    """
+    ratio = span / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"span / dt = {span!r} / {dt!r} is not a finite number of steps")
+    return max(1, math.ceil(ratio - 1e-9))
 
 
 def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
@@ -97,8 +104,7 @@ def step_matrix(gen: list[list[complex]], dt: float) -> list[list[complex]]:
     return m
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(Value):
     """Recorded pair run: ``records[k]`` holds the :data:`ENTRIES` at ``times[k]``."""
 
     times: tuple[float, ...]

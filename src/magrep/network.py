@@ -11,9 +11,10 @@ exact density-matrix pipeline in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
+
+from .params import Value
 
 # Minimum conditional fidelity for a hop to count as usable for key distribution.
 USABLE_FIDELITY_THRESHOLD = 0.7
@@ -23,8 +24,7 @@ USABLE_FIDELITY_THRESHOLD = 0.7
 _THRESHOLD_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Value):
     """One deployment scenario row, normalized to dB/km and km.
 
     Chip-scale rows are quoted per centimetre; they are stored with the
@@ -68,8 +68,7 @@ class ScenarioParams:
             )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Value):
     """Werner-track noise: per-link purity and per-swap depolarizing retention."""
 
     p_link: float = 0.94
@@ -82,8 +81,7 @@ class NoiseModel:
                 raise ValueError(f"{key}={val} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class HopRecord:
+class HopRecord(Value):
     hop: int
     fidelity: float
     concurrence: float
@@ -92,8 +90,7 @@ class HopRecord:
     usable: bool
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Value):
     """Per-hop chain summary; success probabilities are cumulative products."""
 
     scenario_name: str

@@ -1,16 +1,14 @@
-"""Node inputs, the integration failure type and its tolerances, in plain Python.
+"""Node inputs, the value-type base, the integration failure type and its tolerances.
 
 Kept free of numpy so that ``config`` and ``cli`` can build a run
 configuration, and every CLI command can run, without loading the numerical
-layers. :mod:`magrep.dynamics` re-exports every name defined here.
+layers. :mod:`magrep.dynamics` re-exports the node names defined here.
 
 Units: all frequencies and rates are angular (rad/s).
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
@@ -28,8 +26,82 @@ class IntegrationError(RuntimeError):
     """An integrated state lost finiteness, trace, Hermiticity or positivity; never repaired."""
 
 
-@dataclass(frozen=True)
-class LindbladParams:
+class Value:
+    """Base of every magrep value type: immutable fields, checked once, at construction.
+
+    A subclass declares its fields as annotated class attributes, in order; a
+    value assigned there is the field's default, shared by every instance, so
+    it must be immutable. The constructor takes the fields by position or
+    keyword, then runs ``__post_init__``, the class's only range and type
+    check, which may normalise a field with ``object.__setattr__``. A field
+    cannot be assigned or deleted afterwards. Instances compare, hash and
+    print by their fields, unless the class is declared with ``eq=False``,
+    which keeps identity equality.
+
+    Defining a subclass generates and compiles no code and imports nothing,
+    so a CLI process pays almost nothing for the value types it loads.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__ = object.__eq__
+            cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for key in kwargs:
+            if key not in cls._fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected argument {key!r}")
+            if key in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {key!r}")
+        values.update(kwargs)
+        if len(values) < len(cls._fields):
+            values = {**cls._defaults, **values}
+            missing = [key for key in cls._fields if key not in values]
+            if missing:
+                raise TypeError(f"{cls.__name__}() missing arguments {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check, and possibly normalise, the fields; raise on an invalid value."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked again by ``__post_init__``."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class LindbladParams(Value):
     """One cavity-magnon node: frequencies, coupling, loss rates, truncations.
 
     Defaults are a resonant pair at omega/2pi = 10 GHz with coupling
@@ -63,11 +135,10 @@ class LindbladParams:
         return self.g_mc > (self.kappa_d + self.kappa_phi + self.gamma_d + self.gamma_phi) / 2.0
 
     def without_dissipation(self) -> "LindbladParams":
-        return dataclasses.replace(self, kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0)
+        return self.replace(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0)
 
 
-@dataclass(frozen=True)
-class MaterialParams:
+class MaterialParams(Value):
     """Physical inputs for the magnon-cavity coupling rate."""
 
     gyromagnetic_ratio: float  # rad/(s T)

@@ -10,13 +10,12 @@ storage is unapologetically dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .params import HERMITIAN_TOL, PSD_TOL
+from .params import HERMITIAN_TOL, PSD_TOL, Value
 
 # Comparison / validation tolerances (absolute).
 DEFAULT_ATOL = 1e-10
@@ -55,8 +54,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-@dataclass(frozen=True)
-class HilbertSpec:
+class HilbertSpec(Value):
     """Ordered, labeled tensor-product decomposition of a Hilbert space.
 
     ``subsystems`` is a sequence of ``(label, dimension)`` pairs; labels must
@@ -115,8 +113,7 @@ def basis_ket(space: HilbertSpec, occupations: Sequence[int]) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Value, eq=False):
     """Validated trace-one positive-semidefinite operator on a labeled space.
 
     Construction checks squareness, Hermiticity (1e-9), unit trace (1e-6) and

@@ -9,10 +9,10 @@ side of the link).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .params import Value
 from .qcore import (
     BELL_LABELS,
     DensityMatrix,
@@ -29,8 +29,7 @@ from .qcore import (
 ZERO_BRANCH_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class BellOutcome:
+class BellOutcome(Value, eq=False):
     """One heralded measurement result: projector plus feed-forward correction."""
 
     label: str
@@ -63,8 +62,7 @@ def bell_outcome(label: str) -> BellOutcome:
     return BELL_OUTCOMES[BELL_LABELS.index(label)]
 
 
-@dataclass(frozen=True, eq=False)
-class SwapResult:
+class SwapResult(Value, eq=False):
     """Outcome of one heralded swap: which Bell click, how likely, what remains."""
 
     outcome: BellOutcome

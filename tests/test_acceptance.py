@@ -11,7 +11,6 @@ do not hold for the stated rates; they are applied to the same model with all
 four rates times 2 pi, the reading the README gives, and that run must match
 the oracle too.
 """
-import dataclasses
 import math
 import time
 
@@ -53,8 +52,8 @@ def fig_params() -> LindbladParams:
 @pytest.fixture(scope="module")
 def band_params(fig_params) -> LindbladParams:
     """The stated parameter set with all four dissipation rates times 2 pi."""
-    return dataclasses.replace(
-        fig_params, **{name: 2.0 * math.pi * getattr(fig_params, name) for name in RATE_NAMES}
+    return fig_params.replace(
+        **{name: 2.0 * math.pi * getattr(fig_params, name) for name in RATE_NAMES}
     )
 
 
@@ -309,8 +308,8 @@ def test_criterion_09_scenario_table_ingestion():
         for s in BUILTIN_SCENARIOS.values()
     )
     metro_a_click = network.click_probability(BUILTIN_SCENARIOS["metro-a"])
-    base = dataclasses.replace(BUILTIN_SCENARIOS["metro-b"], eta_conv=0.3)
-    doubled = dataclasses.replace(base, eta_conv=0.6)
+    base = BUILTIN_SCENARIOS["metro-b"].replace(eta_conv=0.3)
+    doubled = base.replace(eta_conv=0.6)
     ratio = network.click_probability(doubled) / network.click_probability(base)
     _check(
         9,

@@ -346,6 +346,30 @@ class TestConfigIntegration:
         assert rows[0][3] == _fmt(network.click_probability(chip_a))
         assert "Repeater chain (chip-a)" in (tmp_path / "chain.svg").read_text()
 
+    @pytest.mark.parametrize("command, lines", [
+        (["pair"], ["g_mc = 120 MHz", "hops = 3"]),
+        (["pair"], ["scenario = metro-c"]),
+        (["pair"], ["p_link = 0.5"]),
+        (["chain"], ["hops = 3", "t_final = 5 ns"]),
+        (["chain"], ["g_mc = 1 MHz"]),
+        (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2"], ["dim_c = 2"]),
+    ])
+    def test_config_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        key = lines[-1].split()[0]
+        err = capsys.readouterr().err
+        assert f"{cfg}:{len(lines)}: the {command[0]} command does not read {key!r}" in err
+        assert not out.exists()
+
+    def test_pair_config_of_node_keys_runs(self, tmp_path):
+        cfg = tmp_path / "node.cfg"  # the benchmark's pair-trace keys
+        cfg.write_text("g_mc = 120 MHz\nkappa_d = 1.5 MHz\ngamma_d = 0.4 MHz\n"
+                       "kappa_phi = 0.2 MHz\ngamma_phi = 0.3 MHz\n")
+        assert main(["pair", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("warp_factor = 9\n")

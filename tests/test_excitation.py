@@ -1,5 +1,4 @@
 """The pair run on the single-excitation block against the full master equation."""
-import dataclasses
 import random
 import re
 
@@ -50,7 +49,7 @@ def test_rwa_pair_reaches_exactly_the_five_entries(dim):
 @pytest.mark.parametrize("name", sorted(PARAMS))
 def test_closed_form_generator_is_the_liouvillian_restriction(name, dim):
     p = PARAMS[name]
-    full = _rwa_liouvillian(dataclasses.replace(p, dim_c=dim, dim_m=dim))
+    full = _rwa_liouvillian(p.replace(dim_c=dim, dim_m=dim))
     block = np.ix_(_block_index(dim), _block_index(dim))
     gen = np.array(excitation.generator(p))
     scale = np.max(np.abs(full))
@@ -140,6 +139,16 @@ def test_whole_steps_shrinks_dt_to_cover_the_span():
     assert excitation.whole_steps(1.0, 0.3) == 4
     assert excitation.whole_steps(0.9, 0.03) == 30  # 0.9 / 0.03 = 30.000000000000004 adds no step
     assert excitation.whole_steps(0.3, 1.0) == 1
+
+
+def test_step_count_beyond_the_largest_float_is_a_value_error():
+    p = LindbladParams()
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        excitation.whole_steps(1.0, 1e-320)
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        excitation.pair_steps(p, dt=1e-319)
+    with pytest.raises(ValueError, match="not a finite number of steps"):
+        dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-319)
 
 
 @pytest.mark.parametrize("name", ["Full", "exact", "RWA"])

@@ -1,5 +1,4 @@
 """Link budgets, multiplexing arithmetic and chain fidelity analytics."""
-import dataclasses
 import math
 
 import pytest
@@ -75,7 +74,7 @@ class TestScenarioTable:
     ])
     def test_nan_field_is_rejected_by_name(self, base, key):
         with pytest.raises(ValueError, match=key):
-            dataclasses.replace(base, **{key: math.nan})
+            base.replace(**{key: math.nan})
 
 
     @pytest.mark.parametrize("base, key, value", [
@@ -84,7 +83,7 @@ class TestScenarioTable:
     ])
     def test_non_integer_count_is_rejected_by_name(self, base, key, value):
         with pytest.raises(ValueError, match=key):
-            dataclasses.replace(base, **{key: value})
+            base.replace(**{key: value})
 
 
 class TestLinkEfficiency:
@@ -128,8 +127,8 @@ class TestClickProbability:
         assert pb / pa > 1e6
 
     def test_conversion_fourth_power_scaling(self):
-        base = dataclasses.replace(BUILTIN_SCENARIOS["metro-b"], eta_conv=0.25)
-        doubled = dataclasses.replace(base, eta_conv=0.5)
+        base = BUILTIN_SCENARIOS["metro-b"].replace(eta_conv=0.25)
+        doubled = base.replace(eta_conv=0.5)
         ratio = click_probability(doubled) / click_probability(base)
         assert ratio == pytest.approx(16.0, rel=1e-9)
 
@@ -301,8 +300,8 @@ class TestSimulateChain:
 
 class TestScenarioDerivation:
     def test_span_changes_link_efficiency(self):
-        near = dataclasses.replace(BUILTIN_SCENARIOS["metro-c"], l_span=1.0)
-        far = dataclasses.replace(BUILTIN_SCENARIOS["metro-c"], l_span=50.0)
+        near = BUILTIN_SCENARIOS["metro-c"].replace(l_span=1.0)
+        far = BUILTIN_SCENARIOS["metro-c"].replace(l_span=50.0)
         assert link_efficiency(near) > link_efficiency(far)
 
     def test_chain_purity_closed_form(self):

@@ -115,7 +115,10 @@ def test_chain_and_sweep_never_import_numpy(tmp_path):
     (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,8"], ["magrep.network"]),
 ])
 def test_each_command_loads_only_its_own_model(tmp_path, argv, added):
-    """``import magrep.cli`` loads what every command needs; a command adds only its model."""
+    """``import magrep.cli`` loads what every command needs; a command adds only its model.
+
+    No step imports ``dataclasses``: magrep's value types are ``params.Value`` classes.
+    """
     node_cfg = tmp_path / "node.cfg"
     node_cfg.write_text("g_mc = 120 MHz\nkappa_d = 1.5 MHz\n")
     argv = [arg.format(node_cfg=node_cfg) for arg in argv] + ["--out", str(tmp_path / "out")]
@@ -123,7 +126,8 @@ def test_each_command_loads_only_its_own_model(tmp_path, argv, added):
         import json, sys
 
         def ours():
-            return {{m for m in sys.modules if m.split(".")[0] in ("magrep", "numpy")}}
+            top = ("magrep", "numpy", "dataclasses")
+            return {{m for m in sys.modules if m.split(".")[0] in top}}
 
         import magrep.cli
         at_import = ours()
@@ -134,6 +138,12 @@ def test_each_command_loads_only_its_own_model(tmp_path, argv, added):
     assert at_import == ["magrep", "magrep.cli", "magrep.config", "magrep.params",
                          "magrep.svgplot"]
     assert by_command == added
+
+
+def test_numerical_layers_never_import_dataclasses():
+    """numpy does not import ``dataclasses``, so neither do the modules built on it."""
+    code = "import sys, magrep.dynamics, magrep.swap; print('dataclasses' in sys.modules)"
+    assert _run_fresh(code).splitlines()[-1] == "False"
 
 
 def test_version_string():
