@@ -26,19 +26,18 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "qcore": (
-        "DensityMatrix", "HilbertSpec", "bell_state", "concurrence", "fidelity", "kron",
+        "DensityMatrix", "HilbertSpec", "bell_state", "concurrence", "fidelity",
         "partial_trace", "werner_state",
     ),
-    "params": ("IntegrationError", "LindbladParams", "MaterialParams"),
+    "params": ("IntegrationError", "LindbladParams"),
     "dynamics": (
         "EvolutionTrace", "build_full_hamiltonian", "build_rwa_hamiltonian",
-        "collapse_operators", "coupling_strength", "evolve", "generate_bell_pair",
-        "lindblad_rhs",
+        "collapse_operators", "evolve", "generate_bell_pair", "lindblad_rhs",
     ),
     "network": (
         "BUILTIN_SCENARIOS", "ChainReport", "NoiseModel", "ScenarioParams", "chain_fidelity",
         "click_probability", "cumulative_success", "get_scenario", "hop_success",
-        "link_efficiency", "simulate_chain", "threshold_hops",
+        "link_efficiency", "simulate_chain",
     ),
     "swap": (
         "BELL_OUTCOMES", "BellOutcome", "SwapResult", "beam_splitter_unitary", "bsm",

@@ -14,34 +14,30 @@ import math
 
 import numpy as np
 
-from .excitation import (  # noqa: F401  (the step rules are re-exported for callers)
+from .excitation import (
     check_hamiltonian,
     default_step,
     pair_generation_time,
     pair_steps,
     whole_steps,
 )
-from .params import (  # noqa: F401  (re-exported for callers of magrep.dynamics)
+from .params import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_DRIFT_LIMIT,
-    TWO_PI,
+    TWO_PI,  # noqa: F401  (unused here; re-exported for callers of magrep.dynamics)
     IntegrationError,
     LindbladParams,
-    MaterialParams,
     Value,
 )
-from .qcore import (  # noqa: F401  (concurrence: perfbench/tests patch this binding)
+from .qcore import (
     DensityMatrix,
     HilbertSpec,
     basis_ket,
-    concurrence,
+    concurrence,  # noqa: F401  (unused here; perfbench's tests patch this binding)
     concurrences,
     fidelity,
-    kron,
 )
-
-HBAR = 1.054571817e-34  # J s
 
 
 class EvolutionTrace(Value, eq=False):
@@ -86,20 +82,9 @@ def node_space(p: LindbladParams) -> HilbertSpec:
 
 def mode_operators(p: LindbladParams) -> tuple[np.ndarray, np.ndarray]:
     """Magnon and cavity annihilation operators on the joint space."""
-    m_op = kron(destroy(p.dim_m), np.eye(p.dim_c))
-    c_op = kron(np.eye(p.dim_m), destroy(p.dim_c))
+    m_op = np.kron(destroy(p.dim_m), np.eye(p.dim_c))
+    c_op = np.kron(np.eye(p.dim_m), destroy(p.dim_c))
     return m_op, c_op
-
-
-def coupling_strength(mp: MaterialParams) -> float:
-    """Magnon-cavity coupling rate from material and geometry inputs.
-
-    Scales with the square root of the ensemble spin and inversely with the
-    square root of the cavity mode volume.
-    """
-    return mp.gyromagnetic_ratio * math.sqrt(
-        HBAR * mp.omega_c * mp.vacuum_permeability * mp.total_spin / (2.0 * mp.cavity_mode_volume)
-    )
 
 
 def build_full_hamiltonian(p: LindbladParams) -> np.ndarray:
@@ -165,9 +150,9 @@ def _effective_hamiltonian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
 def _liouvillian(h: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     """Generator as a D^2 x D^2 matrix acting on the row-major vec of rho.
 
-    Closed Kronecker form from vec(A X B) = (A kron B^T) vec(X) (Havel,
+    Closed Kronecker form from vec(A X B) = np.kron(A, B^T) vec(X) (Havel,
     J. Math. Phys. 44, 534 (2003)):
-    L = -i H_eff kron I + i I kron conj(H_eff) + sum_k C_k kron conj(C_k).
+    L = -i np.kron(H_eff, I) + i np.kron(I, conj(H_eff)) + sum_k np.kron(C_k, conj(C_k)).
     """
     h_eff = _effective_hamiltonian(h, jumps)
     eye = np.eye(h.shape[0])

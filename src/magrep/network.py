@@ -19,8 +19,8 @@ from .params import Value
 # Minimum conditional fidelity for a hop to count as usable for key distribution.
 USABLE_FIDELITY_THRESHOLD = 0.7
 
-# Slack for threshold comparisons so a fidelity that analytically sits exactly
-# on f_min is counted as reaching it despite float rounding.
+# Slack for the usable-hop comparison so a fidelity that analytically sits
+# exactly on the threshold is counted as reaching it despite float rounding.
 _THRESHOLD_EPS = 1e-12
 
 
@@ -235,26 +235,3 @@ def simulate_chain(
         )
     return ChainReport(scenario_name=name, p_click=clicks[0], hops=tuple(records))
 
-
-def threshold_hops(nm: NoiseModel, f_min: float = USABLE_FIDELITY_THRESHOLD) -> int | float:
-    """Largest hop count whose conditional fidelity still reaches ``f_min``.
-
-    Returns 0 when even one hop falls short, and ``math.inf`` when the chain
-    never degrades below the threshold (no per-hop decay, or ``f_min`` at or
-    below the fully mixed floor of 0.25).
-    """
-    if not 0.0 < f_min < 1.0:
-        raise ValueError(f"f_min={f_min} outside (0, 1)")
-    fid_1, _ = chain_fidelity(1, nm)
-    if fid_1 < f_min - _THRESHOLD_EPS:
-        return 0
-    decay = nm.p_link * nm.q_swap
-    floor = fid_1 if decay >= 1.0 else 0.25
-    if floor >= f_min - _THRESHOLD_EPS:
-        return math.inf
-    h = 1
-    while True:
-        fid, _ = chain_fidelity(h + 1, nm)
-        if fid < f_min - _THRESHOLD_EPS:
-            return h
-        h += 1

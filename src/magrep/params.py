@@ -15,8 +15,8 @@ TWO_PI = 2.0 * math.pi
 
 # Checks on every recorded state, shared by both node integrators and by
 # qcore's state validation (absolute): Hermiticity max|rho - rho^dag|, the
-# floor on the smallest eigenvalue, and the trace drift, which is never
-# renormalized away.
+# floor on the smallest eigenvalue, and the trace drift |tr rho - 1|, which
+# is never renormalized away.
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_DRIFT_LIMIT = 1e-6
@@ -129,27 +129,6 @@ class LindbladParams(Value):
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
                 raise ValueError(f"mode truncations must be integers >= 2, got {name}={value!r}")
 
-    @property
-    def is_strong_coupling(self) -> bool:
-        """Coupling exceeds half the summed dissipation rates."""
-        return self.g_mc > (self.kappa_d + self.kappa_phi + self.gamma_d + self.gamma_phi) / 2.0
-
     def without_dissipation(self) -> "LindbladParams":
         return self.replace(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0)
 
-
-class MaterialParams(Value):
-    """Physical inputs for the magnon-cavity coupling rate."""
-
-    gyromagnetic_ratio: float  # rad/(s T)
-    vacuum_permeability: float  # T m/A
-    total_spin: float  # dimensionless ensemble spin
-    cavity_mode_volume: float  # m^3
-    omega_c: float  # rad/s
-
-    def __post_init__(self) -> None:
-        for name in ("gyromagnetic_ratio", "vacuum_permeability", "total_spin",
-                     "cavity_mode_volume", "omega_c"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -15,11 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .params import HERMITIAN_TOL, PSD_TOL, Value
+from .params import HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, Value
 
-# Comparison / validation tolerances (absolute).
+# Entrywise comparison tolerance (absolute).
 DEFAULT_ATOL = 1e-10
-TRACE_TOL = 1e-6
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -47,11 +46,6 @@ _BELL_KETS = {
 def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     """Entrywise equality of two arrays within an absolute tolerance."""
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= atol))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two arrays (dimensions multiply)."""
-    return np.kron(a, b)
 
 
 class HilbertSpec(Value):
@@ -135,8 +129,8 @@ class DensityMatrix(Value, eq=False):
         if not herm <= HERMITIAN_TOL:
             raise ValueError(f"matrix not Hermitian: max deviation {herm:.3e}")
         tr = m.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
+        if not abs(tr - 1.0) <= TRACE_DRIFT_LIMIT:
+            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_DRIFT_LIMIT}")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
         if not min_eig >= -PSD_TOL:
             raise ValueError(f"matrix not positive semidefinite: min eigenvalue {min_eig:.3e}")

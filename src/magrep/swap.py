@@ -21,11 +21,10 @@ from .qcore import (
     PAULI_Z,
     bell_state,
     embed,
-    kron,
     partial_trace,
 )
 
-# Heralded outcome below this probability cannot be selected deterministically.
+# A heralded outcome below this probability is an empty branch and cannot be selected.
 ZERO_BRANCH_TOL = 1e-12
 
 
@@ -83,19 +82,6 @@ def swap_time(g_bs: float) -> float:
     return math.pi / (2.0 * g_bs)
 
 
-def apply_io_relations(modes, beta_t: float = math.pi / 4.0):
-    """Mix a two-mode pair (v, h) through the splitter with angle ``beta_t``.
-
-    Entries may be scalars or operator matrices; a second application with
-    ``-beta_t`` undoes the first.
-    """
-    v1, h1 = modes
-    c, s = math.cos(beta_t), math.sin(beta_t)
-    v2 = c * v1 - 1j * s * h1
-    h2 = -1j * s * v1 + c * h1
-    return (v2, h2)
-
-
 def _require_four_qubits(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> None:
     space = rho.space
     if len(space.subsystems) != 4 or any(d != 2 for d in space.dims):
@@ -116,40 +102,27 @@ def bsm_probabilities(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> np.ndar
     return probs
 
 
-def bsm(
-    rho: DensityMatrix,
-    qubit_a: str,
-    qubit_b: str,
-    outcome: str | None = None,
-    rng: np.random.Generator | None = None,
-) -> SwapResult:
-    """Bell-state measurement on qubits (a, b) of a four-qubit state.
+def bsm(rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str) -> SwapResult:
+    """Bell-state measurement on qubits (a, b) of a four-qubit state, heralding ``outcome``.
 
-    Pass ``outcome``, a Bell label, to select a branch deterministically, or
-    ``rng``, a Generator owned by the caller, to sample one. The two surviving
-    qubits are renormalized, and the outcome's Pauli correction is applied to
-    the second survivor so every branch lands on the same target pair.
+    ``outcome`` is a Bell label whose branch has probability >=
+    ``ZERO_BRANCH_TOL``. The two surviving qubits are renormalized, and the
+    outcome's Pauli correction is applied to the second survivor so every
+    branch lands on the same target pair.
     """
     probs = bsm_probabilities(rho, qubit_a, qubit_b)
-
-    if outcome is not None:
-        chosen = bell_outcome(outcome)
-        if probs[chosen.index] < ZERO_BRANCH_TOL:
-            raise ValueError(
-                f"outcome {chosen.label} has probability {probs[chosen.index]:.3e}; branch is empty"
-            )
-    else:
-        if rng is None:
-            raise ValueError("pass either a deterministic outcome or an rng Generator")
-        weights = np.clip(probs, 0.0, None)
-        chosen = BELL_OUTCOMES[int(rng.choice(4, p=weights / weights.sum()))]
+    chosen = bell_outcome(outcome)
+    if probs[chosen.index] < ZERO_BRANCH_TOL:
+        raise ValueError(
+            f"outcome {chosen.label} has probability {probs[chosen.index]:.3e}; branch is empty"
+        )
 
     proj = embed(chosen.projector, rho.space, (qubit_a, qubit_b))
     prob = float(probs[chosen.index])
     reduced = proj @ rho.matrix @ proj / prob
     keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
     survivors = partial_trace(DensityMatrix(rho.space, reduced), keep)
-    corr = kron(ID2, chosen.correction)
+    corr = np.kron(ID2, chosen.correction)
     fixed = corr @ survivors.matrix @ corr.conj().T
     return SwapResult(
         outcome=chosen,

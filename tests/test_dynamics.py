@@ -6,15 +6,11 @@ import pytest
 
 from magrep import dynamics
 from magrep.dynamics import (
-    HBAR,
     IntegrationError,
     LindbladParams,
-    MaterialParams,
-    TWO_PI,
     build_full_hamiltonian,
     build_rwa_hamiltonian,
     collapse_operators,
-    coupling_strength,
     default_step,
     destroy,
     evolve,
@@ -33,12 +29,8 @@ from magrep.dynamics import (
     _propagate_matrix_free,
     _segments,
 )
-from magrep.qcore import basis_ket, concurrences, fidelity, kron
+from magrep.qcore import basis_ket, concurrences, fidelity
 from conftest import ginibre_matrix, single_excitation_block
-
-MU0 = 1.25663706212e-6
-GAMMA_E = TWO_PI * 28.0249514242e9  # electron gyromagnetic ratio, rad/(s T)
-
 
 def ideal_params(**overrides) -> LindbladParams:
     return LindbladParams(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0, **overrides)
@@ -48,12 +40,14 @@ def _exact_number_operator(p: LindbladParams) -> np.ndarray:
     """Total excitation number with exact integer entries."""
     n_m = np.diag(np.arange(p.dim_m, dtype=float))
     n_c = np.diag(np.arange(p.dim_c, dtype=float))
-    return kron(n_m, np.eye(p.dim_c)) + kron(np.eye(p.dim_m), n_c)
+    return np.kron(n_m, np.eye(p.dim_c)) + np.kron(np.eye(p.dim_m), n_c)
 
 
 class TestParams:
     def test_defaults_are_strong_coupling(self):
-        assert LindbladParams().is_strong_coupling
+        # the coupling exceeds half the summed dissipation rates
+        p = LindbladParams()
+        assert p.g_mc > (p.kappa_d + p.kappa_phi + p.gamma_d + p.gamma_phi) / 2.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="kappa_d"):
@@ -68,40 +62,6 @@ class TestParams:
     def test_truncation_bounds(self):
         with pytest.raises(ValueError, match="truncations"):
             LindbladParams(dim_c=1)
-
-    def test_material_params_positive(self):
-        with pytest.raises(ValueError, match="total_spin"):
-            MaterialParams(GAMMA_E, MU0, 0.0, 1e-9, TWO_PI * 10e9)
-
-
-class TestCouplingStrength:
-    def material(self, spin=1e15, volume=1e-9) -> MaterialParams:
-        return MaterialParams(
-            gyromagnetic_ratio=GAMMA_E,
-            vacuum_permeability=MU0,
-            total_spin=spin,
-            cavity_mode_volume=volume,
-            omega_c=TWO_PI * 10e9,
-        )
-
-    def test_sqrt_scaling_in_spin(self):
-        g1 = coupling_strength(self.material(spin=1e15))
-        g2 = coupling_strength(self.material(spin=2e15))
-        assert g2 == pytest.approx(math.sqrt(2.0) * g1, rel=1e-12)
-
-    def test_inverse_sqrt_scaling_in_volume(self):
-        g1 = coupling_strength(self.material(volume=1e-9))
-        g2 = coupling_strength(self.material(volume=4e-9))
-        assert g2 == pytest.approx(g1 / 2.0, rel=1e-12)
-
-    def test_round_trip_to_design_coupling(self):
-        # invert the formula for the spin count that lands on 2pi x 130 MHz
-        target = TWO_PI * 130e6
-        omega = TWO_PI * 10e9
-        volume = 1e-9
-        spin = 2.0 * volume * target**2 / (GAMMA_E**2 * HBAR * omega * MU0)
-        mp = MaterialParams(GAMMA_E, MU0, spin, volume, omega)
-        assert coupling_strength(mp) == pytest.approx(target, rel=1e-12)
 
 
 class TestHamiltonians:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magrep.dynamics import TWO_PI, LindbladParams, MaterialParams
+from magrep.dynamics import LindbladParams
 from magrep.network import (
     BUILTIN_SCENARIOS,
+    USABLE_FIDELITY_THRESHOLD,
     NoiseModel,
     ScenarioParams,
     chain_fidelity,
@@ -18,7 +19,6 @@ from magrep.network import (
     hop_success,
     link_efficiency,
     simulate_chain,
-    threshold_hops,
 )
 from magrep.qcore import bell_state, concurrence, fidelity
 from conftest import exact_chain_state
@@ -68,9 +68,9 @@ class TestScenarioTable:
     @pytest.mark.parametrize("base, key", [
         *[(BUILTIN_SCENARIOS["metro-c"], key)
           for key in ("alpha", "l_span", "eta_conv", "eta_det", "p_bsa", "m_mux")],
-        *[(MaterialParams(TWO_PI * 28e9, 1.26e-6, 1e15, 1e-9, TWO_PI * 10e9), key)
-          for key in ("gyromagnetic_ratio", "vacuum_permeability", "total_spin",
-                      "cavity_mode_volume", "omega_c")],
+        *[(LindbladParams(), key)
+          for key in ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi",
+                      "gamma_phi")],
     ])
     def test_nan_field_is_rejected_by_name(self, base, key):
         with pytest.raises(ValueError, match=key):
@@ -225,8 +225,14 @@ class TestChainFidelity:
         assert all(a >= b for a, b in zip(fids, fids[1:]))
 
 
-class TestThresholdHops:
-    def test_default_noise_model(self):
+class TestSimulateChain:
+    def test_chip_a_four_hops_all_usable(self):
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4)
+        assert len(report.hops) == 4
+        assert all(r.usable for r in report.hops)
+        assert report.hops[-1].fidelity == pytest.approx(0.78, abs=0.01)
+
+    def test_usable_until_the_fidelity_falls_below_threshold(self):
         # brute-force scan of the closed-form fidelity
         nm = NoiseModel()
         expected = 0
@@ -236,31 +242,14 @@ class TestThresholdHops:
             else:
                 break
         assert expected == 5
-        assert threshold_hops(nm) == expected
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 8, nm)
+        assert [r.usable for r in report.hops] == [h <= expected for h in range(1, 9)]
 
-    def test_no_degradation_sentinel(self):
-        assert threshold_hops(NoiseModel(p_link=1.0, q_swap=1.0)) == math.inf
-
-    def test_threshold_below_mixed_floor_is_unbounded(self):
-        assert threshold_hops(NoiseModel(), f_min=0.2) == math.inf
-
-    def test_exactly_at_first_hop_fidelity(self):
-        assert threshold_hops(NoiseModel(), f_min=0.955) == 1
-
-    def test_zero_when_first_hop_fails(self):
-        assert threshold_hops(NoiseModel(p_link=0.5, q_swap=0.9)) == 0
-
-    def test_f_min_domain(self):
-        with pytest.raises(ValueError, match="f_min"):
-            threshold_hops(NoiseModel(), f_min=1.0)
-
-
-class TestSimulateChain:
-    def test_chip_a_four_hops_all_usable(self):
-        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4)
-        assert len(report.hops) == 4
-        assert all(r.usable for r in report.hops)
-        assert report.hops[-1].fidelity == pytest.approx(0.78, abs=0.01)
+    def test_hop_at_exactly_the_threshold_is_usable(self):
+        # (3 * 0.6 + 1) / 4 is the threshold itself
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 2, NoiseModel(p_link=0.6, q_swap=1.0))
+        assert report.hops[0].fidelity == USABLE_FIDELITY_THRESHOLD
+        assert [r.usable for r in report.hops] == [True, False]
 
     def test_metro_a_heralding_collapse_keeps_fidelity(self):
         report = simulate_chain(BUILTIN_SCENARIOS["metro-a"], 4)

@@ -8,9 +8,9 @@ import pytest
 from magrep.config import ConfigError, RunConfig
 from magrep.dynamics import evolve, initial_pair_state
 from magrep.network import BUILTIN_SCENARIOS, HopRecord, NoiseModel
-from magrep.params import LindbladParams, MaterialParams
+from magrep.params import LindbladParams
 from magrep.qcore import DensityMatrix, HilbertSpec, qubit_space, werner_state
-from magrep.swap import bsm
+from magrep.swap import SwapResult, bsm
 
 
 def test_positional_and_keyword_arguments_follow_field_order_and_defaults():
@@ -25,7 +25,7 @@ def test_positional_and_keyword_arguments_follow_field_order_and_defaults():
     (lambda: NoiseModel(0.9, 0.9, 0.9), "takes 2 arguments, got 3"),
     (lambda: NoiseModel(p_lnk=0.9), "unexpected argument 'p_lnk'"),
     (lambda: NoiseModel(0.9, p_link=0.9), "multiple values for argument 'p_link'"),
-    (lambda: MaterialParams(1.0, 1.0, 1.0, 1.0), r"missing arguments \['omega_c'\]"),
+    (lambda: SwapResult(probability=0.5, post_state=None), r"missing arguments \['outcome'\]"),
     (lambda: HilbertSpec(), r"missing arguments \['subsystems'\]"),
 ])
 def test_constructor_argument_errors_are_type_errors(build, message):

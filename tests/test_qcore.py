@@ -10,14 +10,12 @@ from magrep.qcore import (
     ID2,
     PAULI_X,
     PAULI_Y,
-    PAULI_Z,
     basis_ket,
     bell_state,
     concurrence,
     concurrences,
     embed,
     fidelity,
-    kron,
     matrices_equal,
     partial_trace,
     qubit_space,
@@ -26,40 +24,6 @@ from magrep.qcore import (
     _psd_factor,
 )
 from conftest import concurrence_oracle, ginibre_matrix, random_two_qubit
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(ID2, ID2), np.eye(4))
-
-    def test_diagonal_product(self):
-        assert np.array_equal(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_x_times_y_expansion(self):
-        # expanded by hand from the 2x2 definitions
-        expected = np.array(
-            [
-                [0, 0, 0, -1j],
-                [0, 0, 1j, 0],
-                [0, -1j, 0, 0],
-                [1j, 0, 0, 0],
-            ]
-        )
-        assert np.array_equal(kron(PAULI_X, PAULI_Y), expected)
-
-    def test_associative_exactly_on_paulis(self):
-        for a, b, c in [(PAULI_X, PAULI_Y, PAULI_Z), (PAULI_Z, ID2, PAULI_X)]:
-            assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), m=st.integers(2, 4))
-    @settings(max_examples=50, deadline=None)
-    def test_mixed_product_property(self, seed, n, m):
-        r = np.random.default_rng(seed)
-        a, c = (r.normal(size=(n, n)) + 1j * r.normal(size=(n, n)) for _ in range(2))
-        b, d = (r.normal(size=(m, m)) + 1j * r.normal(size=(m, m)) for _ in range(2))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestMatricesEqual:
@@ -192,7 +156,7 @@ class TestPartialTrace:
         joint = tensor_product(tensor_product(a, b), c)
         reduced = partial_trace(joint, ["c", "a"])  # request out of order
         assert reduced.space.labels == ("a", "c")
-        assert matrices_equal(reduced.matrix, kron(a.matrix, c.matrix), atol=1e-12)
+        assert matrices_equal(reduced.matrix, np.kron(a.matrix, c.matrix), atol=1e-12)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown subsystem"):
@@ -202,8 +166,8 @@ class TestPartialTrace:
 class TestEmbed:
     def test_single_qubit_placement(self):
         space = qubit_space("a", "b")
-        assert matrices_equal(embed(PAULI_X, space, ["b"]), kron(ID2, PAULI_X), atol=0)
-        assert matrices_equal(embed(PAULI_X, space, ["a"]), kron(PAULI_X, ID2), atol=0)
+        assert matrices_equal(embed(PAULI_X, space, ["b"]), np.kron(ID2, PAULI_X), atol=0)
+        assert matrices_equal(embed(PAULI_X, space, ["a"]), np.kron(PAULI_X, ID2), atol=0)
 
     def test_reversed_two_qubit_placement(self, rng):
         space = qubit_space("a", "b")

@@ -25,7 +25,6 @@ from magrep.swap import (
     heralded_link_probability,
     node_swap_gate,
     swap_time,
-    apply_io_relations,
 )
 from conftest import brute_force_bsm, exact_chain_state, ginibre_matrix, random_four_qubit
 
@@ -70,27 +69,6 @@ class TestSwapTime:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
             swap_time(0.0)
-
-
-class TestIORelations:
-    def test_identity_splitter(self):
-        v, h = apply_io_relations((1.5, -2.0j), beta_t=0.0)
-        assert v == 1.5 and h == -2.0j
-
-    def test_balanced_splitter_splits_single_input(self):
-        v, h = apply_io_relations((1.0, 0.0))
-        assert v == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert h == pytest.approx(-1j / math.sqrt(2), abs=1e-12)
-
-    def test_round_trip_inverse(self, rng):
-        ops = (
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-        )
-        mixed = apply_io_relations(ops, beta_t=math.pi / 4)
-        back = apply_io_relations(mixed, beta_t=-math.pi / 4)
-        assert np.max(np.abs(back[0] - ops[0])) <= 1e-12
-        assert np.max(np.abs(back[1] - ops[1])) <= 1e-12
 
 
 class TestBellOutcomes:
@@ -166,26 +144,21 @@ class TestBSM:
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
 
-    def test_sampled_mode_is_seed_deterministic(self):
-        rho = two_singlets()
-        first = bsm(rho, "q1", "q2", rng=np.random.default_rng(123))
-        second = bsm(rho, "q1", "q2", rng=np.random.default_rng(123))
-        assert first.outcome.index == second.outcome.index
-        assert first.post_state.isclose(second.post_state, atol=1e-12)
-
-    def test_sampled_mode_accepts_generator(self):
-        rho = two_singlets()
-        gen = np.random.default_rng(7)
-        result = bsm(rho, "q1", "q2", rng=gen)
-        assert result.outcome.index in range(4)
-
-    def test_sampled_outcomes_follow_probabilities(self):
-        rho = two_singlets()
-        gen = np.random.default_rng(2024)
-        counts = np.zeros(4)
-        for _ in range(400):
-            counts[bsm(rho, "q1", "q2", rng=gen).outcome.index] += 1
-        assert np.allclose(counts / 400, 0.25, atol=0.08)
+    @pytest.mark.parametrize("pair", [("q0", "q2"), ("q3", "q1")], ids=["non-adjacent", "reversed"])
+    def test_other_qubit_pairs_match_brute_force_oracle(self, rng, pair):
+        # the oracle measures positions 1 and 2, so permute the register's axes
+        # to (first survivor, qubit_a, qubit_b, second survivor) first
+        survivors = tuple(q for q in ("q0", "q1", "q2", "q3") if q not in pair)
+        order = [int(q[1]) for q in (survivors[0], *pair, survivors[1])]
+        for _ in range(20):
+            rho = random_four_qubit(rng)
+            moved = rho.matrix.reshape((2,) * 8).transpose(order + [4 + i for i in order])
+            for o in BELL_OUTCOMES:
+                result = bsm(rho, *pair, outcome=o.label)
+                prob_bf, post_bf = brute_force_bsm(moved.reshape(16, 16), o.index)
+                assert result.post_state.space.labels == survivors
+                assert result.probability == pytest.approx(prob_bf, abs=1e-10)
+                assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
 
     def test_zero_probability_branch_rejected(self):
         space = qubit_space("q0", "q1", "q2", "q3")
@@ -196,7 +169,7 @@ class TestBSM:
             bsm(rho, "q1", "q2", outcome="psi_minus")
 
     def test_mode_must_be_specified(self):
-        with pytest.raises(ValueError, match="deterministic outcome or an rng"):
+        with pytest.raises(TypeError, match="outcome"):
             bsm(two_singlets(), "q1", "q2")
 
     def test_requires_four_qubits(self):
