@@ -36,8 +36,7 @@ _HOMES = {
     ),
     "network": (
         "BUILTIN_SCENARIOS", "ChainReport", "NoiseModel", "ScenarioParams", "chain_fidelity",
-        "click_probability", "cumulative_success", "get_scenario", "hop_success",
-        "link_efficiency", "simulate_chain",
+        "click_probability", "get_scenario", "hop_success", "link_efficiency", "simulate_chain",
     ),
     "swap": (
         "BELL_OUTCOMES", "BellOutcome", "SwapResult", "beam_splitter_unitary", "bsm",

@@ -82,13 +82,16 @@ def _ensure_out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_pair(cfg: RunConfig) -> list[Path]:
-    """Trace pair generation on the quarter-period grid; its record there is the heralded state."""
+    """Trace pair generation on the quarter-period grid; its record there is the heralded state.
+
+    The resonant RWA block is the same at every truncation: ``dim_c``/``dim_m`` change nothing.
+    """
     from . import excitation  # imported here, so chain and sweep never load it
 
     p = cfg.lindblad.without_dissipation() if cfg.ideal else cfg.lindblad
-    if p.dim_c != 2 or p.dim_m != 2:
-        raise ConfigError("the pair command requires dim_c = dim_m = 2")
-    t_q = excitation.pair_generation_time(p)  # outside the try: g_mc = 0 is no row-count error
+    # outside the try: a detuned node or g_mc = 0 is no row-count error
+    excitation.check_hamiltonian(p, "rwa")
+    t_q = excitation.pair_generation_time(p)
     try:
         n_q = excitation.pair_steps(p, dt=cfg.dt)
         step = t_q / n_q

@@ -13,17 +13,17 @@ attenuation up and the span down by 100, preserving the span loss product.
 
 Recognized keys, by the command that reads them:
 
-* ``pair``: the node physics ``omega_c``, ``omega_m``, ``g_mc``,
-  ``kappa_d``, ``gamma_d``, ``kappa_phi``, ``gamma_phi``, ``dim_c``,
-  ``dim_m``, and the run times ``t_final``, ``dt``
+* ``pair``: the coupling ``g_mc`` and the rates ``kappa_d``, ``gamma_d``,
+  ``kappa_phi``, ``gamma_phi`` of the resonant node, and the run times
+  ``t_final``, ``dt``
 * ``chain`` and ``sweep``: ``scenario`` (built-in name), ``hops``,
   ``pclick_override``, ``p_link``, ``q_swap``, and the inline scenario
   ``scenario_name``, ``alpha``, ``span``, ``eta_read``, ``eta_conv``,
   ``eta_extra``, ``eta_det``, ``eta_col``, ``p_bsa``, ``m_mux``
 
-:func:`load_config` reads the file of one command and refuses, as
-``file:line``, a key that command does not read; :func:`parse_config_text`
-accepts every key.
+:func:`parse_config_text` parses the text of one command's config and
+refuses, as ``file:line``, a key that command does not read;
+:func:`load_config` reads a file and parses it.
 
 An inline scenario must be complete (``eta_conv`` may be omitted for purely
 microwave links) and cannot be combined with the ``scenario`` key. An empty
@@ -91,11 +91,11 @@ _TIME_UNITS = {"ns": 1e-9}
 _LENGTH_UNITS = {"km": 1.0, "cm": 1.0 / 100.0}
 _ATTEN_UNITS = {"db_per_km": 1.0, "db_per_cm": 100.0}
 
-_FREQ_KEYS = ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi")
+_FREQ_KEYS = ("g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi")
 _TIME_KEYS = ("t_final", "dt")
 _FRACTION_KEYS = ("eta_read", "eta_conv", "eta_extra", "eta_det", "eta_col",
                   "p_bsa", "p_link", "q_swap", "pclick_override")
-_COUNT_KEYS = ("hops", "dim_c", "dim_m", "m_mux")
+_COUNT_KEYS = ("hops", "m_mux")
 _NAME_KEYS = ("scenario", "scenario_name")
 
 _INLINE_REQUIRED = ("alpha", "span", "eta_read", "eta_extra", "eta_det",
@@ -105,7 +105,7 @@ _INLINE_KEYS = _INLINE_REQUIRED + ("eta_conv", "scenario_name")
 # The keys each CLI command reads: pair the node, chain and sweep the chain model.
 _CHAIN_KEYS = frozenset(("scenario", "hops", "pclick_override", "p_link", "q_swap", *_INLINE_KEYS))
 COMMAND_KEYS = {
-    "pair": frozenset((*_FREQ_KEYS, "dim_c", "dim_m", *_TIME_KEYS)),
+    "pair": frozenset((*_FREQ_KEYS, *_TIME_KEYS)),
     "chain": _CHAIN_KEYS,
     "sweep": _CHAIN_KEYS,
 }
@@ -156,10 +156,9 @@ def _parse_value(key: str, value: str, unit: str | None, where: str):
     raise ConfigError(f"{where}: unhandled key {key!r}")  # pragma: no cover
 
 
-def _read_values(text: str, source: str) -> tuple[dict[str, object], dict[str, str]]:
-    """Each key's parsed value, and the ``file:line`` that set it."""
+def _read_values(text: str, command: str, source: str) -> dict[str, object]:
+    """Each key's parsed value; a key ``command`` does not read is an error."""
     values: dict[str, object] = {}
-    lines: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         where = f"{source}:{lineno}"
         line = raw.split("#", 1)[0].strip()
@@ -171,6 +170,8 @@ def _read_values(text: str, source: str) -> tuple[dict[str, object], dict[str, s
         key = key_part.strip().lower()
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if key not in COMMAND_KEYS[command]:
+            raise ConfigError(f"{where}: the {command} command does not read {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         tokens = value_part.split()
@@ -180,8 +181,7 @@ def _read_values(text: str, source: str) -> tuple[dict[str, object], dict[str, s
             raise ConfigError(f"{where}: too many tokens after '=' for {key!r}")
         unit = tokens[1] if len(tokens) == 2 else None
         values[key] = _parse_value(key, tokens[0], unit, where)
-        lines[key] = where
-    return values, lines
+    return values
 
 
 def _run_config(values: dict[str, object], source: str) -> RunConfig:
@@ -219,33 +219,26 @@ def _run_config(values: dict[str, object], source: str) -> RunConfig:
             if noise_kwargs:
                 run_kwargs["noise"] = network.NoiseModel(**noise_kwargs)
         return RunConfig(
-            lindblad=LindbladParams(
-                **{k: values[k] for k in (*_FREQ_KEYS, "dim_c", "dim_m") if k in values}
-            ),
+            lindblad=LindbladParams(**{k: values[k] for k in _FREQ_KEYS if k in values}),
             **run_kwargs,
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text into a RunConfig; see the module docstring for keys."""
-    values, _ = _read_values(text, source)
-    return _run_config(values, source)
+def parse_config_text(text: str, command: str, source: str = "<config>") -> RunConfig:
+    """Parse the config text of one CLI command; see the module docstring for its keys."""
+    return _run_config(_read_values(text, command, source), source)
 
 
 def load_config(path: str | Path, command: str) -> RunConfig:
-    """Read and parse the config file of one CLI command; a key it does not read is an error."""
+    """Read and parse the config file of one CLI command."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    values, lines = _read_values(text, str(path))
-    for key in values:
-        if key not in COMMAND_KEYS[command]:
-            raise ConfigError(f"{lines[key]}: the {command} command does not read {key!r}")
-    return _run_config(values, str(path))
+    return parse_config_text(text, command, str(path))
 
 
 def scenario_to_config(s: ScenarioParams) -> str:

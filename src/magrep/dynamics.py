@@ -25,7 +25,6 @@ from .params import (
     HERMITIAN_TOL,
     PSD_TOL,
     TRACE_DRIFT_LIMIT,
-    TWO_PI,  # noqa: F401  (unused here; re-exported for callers of magrep.dynamics)
     IntegrationError,
     LindbladParams,
     Value,
@@ -138,7 +137,7 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, collapses: np.ndarray
 
 
 def _hamiltonian_for(p: LindbladParams, which: str) -> np.ndarray:
-    check_hamiltonian(which)
+    check_hamiltonian(p, which)
     return build_rwa_hamiltonian(p) if which == "rwa" else build_full_hamiltonian(p)
 
 

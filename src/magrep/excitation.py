@@ -27,10 +27,19 @@ _STEP_PHASE_BUDGET = 0.005
 ENTRIES = ((0, 0), (1, 1), (2, 2), (1, 2), (2, 1))
 
 
-def check_hamiltonian(name: str) -> None:
-    """Accept the two node Hamiltonians: ``"rwa"`` (rotating frame) and ``"full"`` (lab frame)."""
+def check_hamiltonian(p: LindbladParams, name: str) -> None:
+    """Accept the two node Hamiltonians: ``"rwa"`` (rotating frame) and ``"full"`` (lab frame).
+
+    The rotating-frame model is the resonant one, so ``"rwa"`` refuses a node
+    whose cavity and magnon frequencies differ.
+    """
     if name not in ("rwa", "full"):
         raise ValueError(f"hamiltonian must be 'rwa' or 'full', got {name!r}")
+    if name == "rwa" and p.omega_c != p.omega_m:
+        raise ValueError(
+            f"the rwa Hamiltonian is resonant: omega_c={p.omega_c!r} and omega_m={p.omega_m!r}"
+            " rad/s differ; use 'full' for a detuned node"
+        )
 
 
 def whole_steps(span: float, dt: float) -> int:
@@ -46,7 +55,7 @@ def whole_steps(span: float, dt: float) -> int:
 
 def default_step(p: LindbladParams, hamiltonian: str = "rwa") -> float:
     """Step size keeping the fastest phase advance near 0.005 rad per step."""
-    check_hamiltonian(hamiltonian)
+    check_hamiltonian(p, hamiltonian)
     if hamiltonian == "rwa":
         scale = p.g_mc
     else:
@@ -66,6 +75,7 @@ def pair_generation_time(p: LindbladParams) -> float:
 
 def pair_steps(p: LindbladParams, hamiltonian: str = "rwa", dt: float | None = None) -> int:
     """Steps of :func:`generate_bell_pair`: ``dt`` shrunk to land on the quarter period, >= 1."""
+    check_hamiltonian(p, hamiltonian)
     dt = default_step(p, hamiltonian) if dt is None else dt
     return whole_steps(pair_generation_time(p), dt)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from typing import Sequence
 
 from .params import Value
 
@@ -163,18 +162,6 @@ def hop_success(p_click: float, m_mux: int) -> float:
     return 1.0 - (1.0 - p_click) ** m_mux
 
 
-def cumulative_success(per_hop: Sequence[float]) -> list[float]:
-    """Running product of per-hop success probabilities."""
-    out = []
-    acc = 1.0
-    for i, p in enumerate(per_hop):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"per-hop probability {p} at position {i} outside [0, 1]")
-        acc *= p
-        out.append(acc)
-    return out
-
-
 def chain_purity(hops: int, nm: NoiseModel) -> float:
     """Effective Werner purity after ``hops`` links and ``hops - 1`` swaps."""
     if hops < 1:
@@ -191,47 +178,37 @@ def chain_fidelity(hops: int, nm: NoiseModel) -> tuple[float, float]:
 
 
 def simulate_chain(
-    scenario: ScenarioParams | Sequence[ScenarioParams],
+    scenario: ScenarioParams,
     hops: int,
     nm: NoiseModel = NoiseModel(),
     p_click_override: float | None = None,
 ) -> ChainReport:
-    """Full per-hop report for a chain of identical (or listed) scenario hops.
+    """Full per-hop report for a chain of ``hops`` identical ``scenario`` hops.
 
     ``p_click_override`` pins the single-channel click probability while the
-    multiplexing arithmetic still follows each hop's m_mux.
+    multiplexing arithmetic still follows the scenario's m_mux. The cumulative
+    success is the running product of the per-hop success, in hop order.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    if isinstance(scenario, ScenarioParams):
-        per_hop_scenarios = [scenario] * hops
-        name = scenario.name
-    else:
-        per_hop_scenarios = list(scenario)
-        if len(per_hop_scenarios) != hops:
-            raise ValueError(f"got {len(per_hop_scenarios)} scenarios for {hops} hops")
-        name = ",".join(s.name for s in per_hop_scenarios)
     if p_click_override is not None and not 0.0 <= p_click_override <= 1.0:
         raise ValueError(f"p_click_override={p_click_override} outside [0, 1]")
 
-    clicks = [
-        p_click_override if p_click_override is not None else click_probability(s)
-        for s in per_hop_scenarios
-    ]
-    per_hop = [hop_success(c, s.m_mux) for c, s in zip(clicks, per_hop_scenarios)]
-    cumulative = cumulative_success(per_hop)
+    p_click = click_probability(scenario) if p_click_override is None else p_click_override
+    p_hop = hop_success(p_click, scenario.m_mux)
+    p_cumulative = 1.0
     records = []
     for h in range(1, hops + 1):
         fid, conc = chain_fidelity(h, nm)
+        p_cumulative *= p_hop
         records.append(
             HopRecord(
                 hop=h,
                 fidelity=fid,
                 concurrence=conc,
-                p_hop=per_hop[h - 1],
-                p_cumulative=cumulative[h - 1],
+                p_hop=p_hop,
+                p_cumulative=p_cumulative,
                 usable=fid >= USABLE_FIDELITY_THRESHOLD - _THRESHOLD_EPS,
             )
         )
-    return ChainReport(scenario_name=name, p_click=clicks[0], hops=tuple(records))
-
+    return ChainReport(scenario_name=scenario.name, p_click=p_click, hops=tuple(records))

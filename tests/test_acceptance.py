@@ -258,7 +258,9 @@ def test_criterion_05_werner_closure():
 def test_criterion_06_multiplexing_arithmetic():
     hs8 = network.hop_success(0.18, 8)
     hs30 = network.hop_success(0.18, 30)
-    cumulative = network.cumulative_success([0.18] * 4)[-1]
+    # chip-a has one channel, so each hop succeeds with the pinned click probability
+    chain = network.simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4, p_click_override=0.18)
+    cumulative = chain.hops[-1].p_cumulative
     _check(
         6,
         "multiplexing gains at pinned click probability 0.18",
@@ -304,7 +306,7 @@ def test_criterion_08_heralded_link_probability():
 
 def test_criterion_09_scenario_table_ingestion():
     round_trip_ok = all(
-        parse_config_text(scenario_to_config(s)).scenario == s
+        parse_config_text(scenario_to_config(s), "chain").scenario == s
         for s in BUILTIN_SCENARIOS.values()
     )
     metro_a_click = network.click_probability(BUILTIN_SCENARIOS["metro-a"])

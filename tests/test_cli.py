@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from magrep import dynamics, excitation, network
-from magrep.cli import MAX_CSV_ROWS, _fmt, _sweep_run, exit_code_for, main
-from magrep.config import ConfigError, RunConfig
+from magrep.cli import MAX_CSV_ROWS, _fmt, _sweep_run, cmd_pair, exit_code_for, main
+from magrep.config import COMMAND_KEYS, ConfigError, RunConfig
 from magrep.dynamics import IntegrationError
 
 
@@ -23,6 +23,13 @@ def _pair_step_ns() -> float:
     """The default pair grid's step, in the config file's ns."""
     p = dynamics.LindbladParams()
     return excitation.pair_generation_time(p) / excitation.pair_steps(p) * 1e9
+
+
+# A value other than the default for each key of a pair config.
+OTHER_PAIR_VALUES = {
+    "g_mc": "120 MHz", "kappa_d": "2 MHz", "gamma_d": "1 MHz", "kappa_phi": "0.6 MHz",
+    "gamma_phi": "0.6 MHz", "t_final": "2 ns", "dt": "0.01 ns",
+}
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +125,33 @@ class TestPairCommand:
         top = max(float(r[1]) for r in rows)
         assert top >= 0.999
 
-    def test_pair_requires_qubit_truncation(self, tmp_path):
+    @pytest.mark.parametrize("key", sorted(COMMAND_KEYS["pair"]))
+    def test_every_pair_key_changes_the_output(self, tmp_path, pair_dir, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("dim_c = 3\n")
-        assert main(["pair", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text(f"{key} = {OTHER_PAIR_VALUES[key]}\n")
+        out = tmp_path / "out"
+        assert main(["pair", "--config", str(cfg), "--out", str(out)]) == 0
+        names = ("pair_trace.csv", "pair_dm.csv")
+        changed = [(out / name).read_bytes() != (pair_dir / name).read_bytes() for name in names]
+        assert any(changed)
+
+    @pytest.mark.parametrize("key", ["omega_c", "omega_m", "dim_c", "dim_m"])
+    def test_removed_node_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        value = "12 GHz" if key.startswith("omega") else "3"
+        cfg.write_text(f"g_mc = 120 MHz\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["pair", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncation_changes_no_byte(self, tmp_path):
+        written = {}
+        for dim in (2, 3):
+            p = dynamics.LindbladParams(dim_c=dim, dim_m=dim)
+            cfg = RunConfig(lindblad=p, output_dir=tmp_path / str(dim), formats=("csv", "svg"))
+            written[dim] = {path.name: path.read_bytes() for path in cmd_pair(cfg)}
+        assert len(written[2]) == 3 and written[3] == written[2]
 
 
 class TestChainCommand:
@@ -352,7 +382,7 @@ class TestConfigIntegration:
         (["pair"], ["p_link = 0.5"]),
         (["chain"], ["hops = 3", "t_final = 5 ns"]),
         (["chain"], ["g_mc = 1 MHz"]),
-        (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2"], ["dim_c = 2"]),
+        (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2"], ["g_mc = 1 MHz"]),
     ])
     def test_config_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, lines):
         cfg = tmp_path / "run.cfg"

@@ -1,9 +1,12 @@
-"""Config grammar: units, defaults, errors and scenario round trips."""
+"""Config grammar: units, defaults, errors, scenario round trips and the documented files."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from magrep.config import (
+    COMMAND_KEYS,
     ConfigError,
     RunConfig,
     load_config,
@@ -17,15 +20,15 @@ TWO_PI = 2 * math.pi
 
 class TestUnits:
     def test_frequency_in_mhz(self):
-        cfg = parse_config_text("g_mc = 130 MHz\n")
+        cfg = parse_config_text("g_mc = 130 MHz\n", "pair")
         assert cfg.lindblad.g_mc == pytest.approx(TWO_PI * 1.3e8, rel=1e-15)
 
     def test_frequency_in_ghz(self):
-        cfg = parse_config_text("omega_c = 10 GHz\n")
-        assert cfg.lindblad.omega_c == pytest.approx(TWO_PI * 1e10, rel=1e-15)
+        cfg = parse_config_text("g_mc = 0.13 GHz\n", "pair")
+        assert cfg.lindblad.g_mc == pytest.approx(TWO_PI * 1.3e8, rel=1e-15)
 
     def test_time_in_ns(self):
-        cfg = parse_config_text("t_final = 9.2 ns\n")
+        cfg = parse_config_text("t_final = 9.2 ns\n", "pair")
         assert cfg.t_final == pytest.approx(9.2e-9, rel=1e-15)
 
     def test_chip_units_normalize_preserving_span_loss(self):
@@ -41,7 +44,7 @@ class TestUnits:
                 "m_mux = 1",
             ]
         )
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(text, "chain")
         assert cfg.scenario.alpha == pytest.approx(20.0, rel=1e-15)
         assert cfg.scenario.l_span == pytest.approx(0.01, rel=1e-15)
         fiber_only = 10 ** (-cfg.scenario.alpha * cfg.scenario.l_span / 10.0)
@@ -50,72 +53,73 @@ class TestUnits:
 
     def test_missing_unit_suffix_is_an_error(self):
         with pytest.raises(ConfigError, match="needs a unit suffix"):
-            parse_config_text("g_mc = 130\n")
+            parse_config_text("g_mc = 130\n", "pair")
 
     def test_wrong_unit_is_an_error(self):
         with pytest.raises(ConfigError, match="GHz or MHz"):
-            parse_config_text("g_mc = 130 km\n")
+            parse_config_text("g_mc = 130 km\n", "pair")
 
     def test_unit_on_bare_quantity_is_an_error(self):
         with pytest.raises(ConfigError, match="no unit suffix"):
-            parse_config_text("eta_det = 0.9 MHz\n")
+            parse_config_text("eta_det = 0.9 MHz\n", "chain")
 
 
 class TestParsing:
     def test_empty_file_gives_defaults(self):
-        cfg = parse_config_text("")
-        # chain and sweep resolve these to chip-a and p_link = 0.94; see test_cli
-        assert cfg.scenario is None and cfg.noise is None
-        assert cfg.lindblad.omega_c == pytest.approx(TWO_PI * 1e10)
-        assert cfg.lindblad.g_mc == pytest.approx(TWO_PI * 1.3e8)
-        assert cfg.hops == 4
+        for command in COMMAND_KEYS:
+            cfg = parse_config_text("", command)
+            # chain and sweep resolve these to chip-a and p_link = 0.94; see test_cli
+            assert cfg.scenario is None and cfg.noise is None
+            assert cfg.lindblad.g_mc == pytest.approx(TWO_PI * 1.3e8)
+            assert cfg.hops == 4
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config_text("# a comment\n\nhops = 7  # trailing comment\n")
+        cfg = parse_config_text("# a comment\n\nhops = 7  # trailing comment\n", "chain")
         assert cfg.hops == 7
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match=r":2: unknown key 'wavelength'"):
-            parse_config_text("hops = 2\nwavelength = 1550\n")
+            parse_config_text("hops = 2\nwavelength = 1550\n", "chain")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
-            parse_config_text("hops = 2\nhops = 3\n")
+            parse_config_text("hops = 2\nhops = 3\n", "chain")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="expected 'key = value"):
-            parse_config_text("hops 4\n")
+            parse_config_text("hops 4\n", "chain")
 
     def test_non_numeric_value(self):
         with pytest.raises(ConfigError, match="cannot parse"):
-            parse_config_text("p_link = often\n")
+            parse_config_text("p_link = often\n", "chain")
 
     @pytest.mark.parametrize("line, key", [
         ("g_mc = nan MHz", "g_mc"), ("t_final = nan ns", "t_final"), ("span = inf km", "span"),
     ])
     def test_non_finite_value_names_key(self, line, key):
+        command = "chain" if key == "span" else "pair"
         with pytest.raises(ConfigError, match=f":1: {key} must be finite"):
-            parse_config_text(line + "\n")
+            parse_config_text(line + "\n", command)
 
     def test_builtin_scenario_reference(self):
-        cfg = parse_config_text("scenario = Metro-B\n")
+        cfg = parse_config_text("scenario = Metro-B\n", "chain")
         assert cfg.scenario == BUILTIN_SCENARIOS["metro-b"]
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError, match="valid names"):
-            parse_config_text("scenario = campus-a\n")
+            parse_config_text("scenario = campus-a\n", "chain")
 
     def test_scenario_and_inline_keys_conflict(self):
         with pytest.raises(ConfigError, match="cannot be combined"):
-            parse_config_text("scenario = chip-a\nm_mux = 8\n")
+            parse_config_text("scenario = chip-a\nm_mux = 8\n", "chain")
 
     def test_incomplete_inline_scenario(self):
         with pytest.raises(ConfigError, match="missing keys"):
-            parse_config_text("alpha = 0.2 dB_per_km\nspan = 10 km\n")
+            parse_config_text("alpha = 0.2 dB_per_km\nspan = 10 km\n", "chain")
 
     def test_fraction_range_enforced(self):
         with pytest.raises(ConfigError, match="outside"):
-            parse_config_text("q_swap = 1.5\n")
+            parse_config_text("q_swap = 1.5\n", "chain")
 
     @pytest.mark.parametrize("line, key", [
         ("alpha = -1 dB_per_km", "alpha"), ("span = 0 km", "l_span"), ("m_mux = 0", "m_mux"),
@@ -124,16 +128,19 @@ class TestParsing:
         text = scenario_to_config(BUILTIN_SCENARIOS["metro-c"])
         kept = [ln for ln in text.splitlines() if not ln.startswith(line.split()[0] + " ")]
         with pytest.raises(ConfigError, match=rf"^run\.cfg: {key}"):
-            parse_config_text("\n".join([*kept, line]) + "\n", source="run.cfg")
+            parse_config_text("\n".join([*kept, line]) + "\n", "sweep", source="run.cfg")
 
     def test_count_bounds(self):
-        with pytest.raises(ConfigError, match=">= 2"):
-            parse_config_text("dim_c = 1\n")
         with pytest.raises(ConfigError, match=">= 1"):
-            parse_config_text("hops = 0\n")
+            parse_config_text("hops = 0\n", "chain")
+
+    def test_key_the_command_does_not_read_reports_line(self):
+        message = r"^run\.cfg:2: the pair command does not read 'hops'$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text("g_mc = 120 MHz\nhops = 2\n", "pair", source="run.cfg")
 
     def test_noise_and_seed_keys(self):
-        cfg = parse_config_text("p_link = 0.9\nq_swap = 0.95\n")
+        cfg = parse_config_text("p_link = 0.9\nq_swap = 0.95\n", "chain")
         assert cfg.noise.p_link == 0.9
         assert cfg.noise.q_swap == 0.95
 
@@ -154,7 +161,7 @@ class TestRoundTrip:
     def test_builtin_scenarios_round_trip_exactly(self, name):
         original = BUILTIN_SCENARIOS[name]
         text = scenario_to_config(original)
-        loaded = parse_config_text(text).scenario
+        loaded = parse_config_text(text, "chain").scenario
         assert loaded == original
 
 
@@ -185,3 +192,21 @@ class TestRunConfig:
         cfg = RunConfig()
         with pytest.raises(AttributeError, match="'hops'"):
             cfg.hops = 0
+
+
+def test_readme_config_blocks_load_under_the_commands_they_document(tmp_path):
+    """Each ini block of README names its commands in its first line and loads under each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    documented = {}
+    for i, text in enumerate(blocks):
+        first = text.splitlines()[0]
+        commands = [word for word in re.findall(r"\w+", first) if word in COMMAND_KEYS]
+        assert first.startswith("#") and commands, first
+        path = tmp_path / f"block{i}.cfg"
+        path.write_text(text, encoding="utf-8")
+        for command in commands:
+            load_config(path, command)
+            documented.setdefault(command, set()).update(re.findall(r"^(\w+) =", text, re.M))
+    assert documented["pair"] == COMMAND_KEYS["pair"]

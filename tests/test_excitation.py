@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from magrep import dynamics, excitation
-from magrep.cli import _fmt, main
-from magrep.dynamics import IntegrationError, LindbladParams, TWO_PI
+from magrep.cli import _fmt, cmd_pair, main
+from magrep.config import RunConfig
+from magrep.dynamics import IntegrationError, LindbladParams
+from magrep.params import TWO_PI
 
 LABELS = ["00", "01", "10", "11"]
 
@@ -161,3 +163,24 @@ def test_unknown_hamiltonian_name_is_rejected(name):
         excitation.pair_steps(p, name)
     with pytest.raises(ValueError, match=message):
         dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-11, hamiltonian=name)
+
+
+def test_rwa_refuses_a_detuned_node(tmp_path):
+    """The rotating-frame model is resonant; a detuned node runs only under "full"."""
+    p = LindbladParams(omega_c=TWO_PI * 5e9, omega_m=TWO_PI * 12e9)
+    message = re.escape(f"omega_c={p.omega_c!r} and omega_m={p.omega_m!r}")
+    with pytest.raises(ValueError, match=message):
+        excitation.default_step(p)
+    with pytest.raises(ValueError, match=message):
+        excitation.pair_steps(p, dt=1e-11)
+    with pytest.raises(ValueError, match=message):
+        dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-11)
+    with pytest.raises(ValueError, match=message):
+        dynamics.generate_bell_pair(p, dt=1e-11)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=message):
+        cmd_pair(RunConfig(lindblad=p, output_dir=out))
+    assert not out.exists()
+    assert excitation.default_step(p, "full") == 0.005 / (p.omega_c + p.omega_m + 2 * p.g_mc)
+    trace = dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-12, dt=1e-13, hamiltonian="full")
+    assert len(trace.times) == 11

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magrep import network
 from magrep.dynamics import LindbladParams
 from magrep.network import (
     BUILTIN_SCENARIOS,
@@ -14,7 +15,6 @@ from magrep.network import (
     chain_fidelity,
     chain_purity,
     click_probability,
-    cumulative_success,
     get_scenario,
     hop_success,
     link_efficiency,
@@ -175,23 +175,6 @@ class TestHopSuccess:
             hop_success(0.5, 0)
 
 
-class TestCumulativeSuccess:
-    def test_geometric_product(self):
-        assert cumulative_success([0.8] * 4) == pytest.approx([0.8, 0.64, 0.512, 0.4096])
-
-    def test_zero_hop_zeroes_tail(self):
-        out = cumulative_success([0.9, 0.0, 0.7])
-        assert out[1:] == [0.0, 0.0]
-
-    def test_single_channel_four_hops_below_five_percent(self):
-        assert cumulative_success([0.18] * 4)[-1] == pytest.approx(0.00105, abs=1e-5)
-        assert cumulative_success([0.18] * 4)[-1] < 0.05
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError, match="position 1"):
-            cumulative_success([0.5, 1.4])
-
-
 class TestChainFidelity:
     def test_first_hop(self):
         fid, conc = chain_fidelity(1, NoiseModel())
@@ -276,15 +259,30 @@ class TestSimulateChain:
         for r in report.hops:
             assert r.p_hop == pytest.approx(1 - 0.82**8, rel=1e-12)
 
-    def test_heterogeneous_chain(self):
-        mix = [BUILTIN_SCENARIOS["chip-a"], BUILTIN_SCENARIOS["chip-b"]]
-        report = simulate_chain(mix, 2)
-        assert report.scenario_name == "chip-a,chip-b"
-        assert report.hops[0].p_hop != report.hops[1].p_hop
+    def test_cumulative_success_is_the_running_product(self):
+        # chip-a has one channel, so p_hop is the pinned click probability
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4, p_click_override=0.18)
+        cums = [r.p_cumulative for r in report.hops]
+        assert cums == pytest.approx([0.18, 0.18**2, 0.18**3, 0.18**4], rel=1e-12)
+        assert cums[-1] == pytest.approx(0.00105, abs=1e-5)
 
-    def test_heterogeneous_length_mismatch(self):
-        with pytest.raises(ValueError, match="scenarios for"):
-            simulate_chain([BUILTIN_SCENARIOS["chip-a"]], 2)
+    def test_zero_click_probability_zeroes_every_hop(self):
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-c"], 3, p_click_override=0.0)
+        assert [(r.p_hop, r.p_cumulative) for r in report.hops] == [(0.0, 0.0)] * 3
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_click_override_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=r"p_click_override=.* outside \[0, 1\]"):
+            simulate_chain(BUILTIN_SCENARIOS["chip-a"], 2, p_click_override=value)
+
+    def test_link_budget_is_evaluated_once_per_chain(self, monkeypatch):
+        calls = []
+        original = network.click_probability
+        monkeypatch.setattr(network, "click_probability",
+                            lambda s: calls.append(s) or original(s))
+        report = simulate_chain(BUILTIN_SCENARIOS["metro-c"], 8)
+        assert calls == [BUILTIN_SCENARIOS["metro-c"]]
+        assert report.p_click == original(BUILTIN_SCENARIOS["metro-c"])
 
 
 class TestScenarioDerivation:
