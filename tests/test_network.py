@@ -208,6 +208,26 @@ class TestChainFidelity:
         assert all(a >= b for a, b in zip(fids, fids[1:]))
 
 
+class TestCumulativeSuccess:
+    """p_cumulative of simulate_chain is the running product of the hop successes."""
+
+    @staticmethod
+    def _cumulative(p_click, hops):
+        # chip-a has one channel, so p_hop is the pinned click probability
+        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], hops, p_click_override=p_click)
+        assert all(r.p_hop == p_click for r in report.hops)
+        return [r.p_cumulative for r in report.hops]
+
+    def test_geometric_product(self):
+        assert self._cumulative(0.8, 4) == pytest.approx([0.8, 0.64, 0.512, 0.4096], rel=1e-12)
+
+    def test_single_channel_four_hops_below_five_percent(self):
+        cums = self._cumulative(0.18, 4)
+        assert cums == pytest.approx([0.18, 0.18**2, 0.18**3, 0.18**4], rel=1e-12)
+        assert cums[-1] == pytest.approx(0.00105, abs=1e-5)
+        assert cums[-1] < 0.05
+
+
 class TestSimulateChain:
     def test_chip_a_four_hops_all_usable(self):
         report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4)
@@ -258,13 +278,6 @@ class TestSimulateChain:
         assert report.p_click == 0.18
         for r in report.hops:
             assert r.p_hop == pytest.approx(1 - 0.82**8, rel=1e-12)
-
-    def test_cumulative_success_is_the_running_product(self):
-        # chip-a has one channel, so p_hop is the pinned click probability
-        report = simulate_chain(BUILTIN_SCENARIOS["chip-a"], 4, p_click_override=0.18)
-        cums = [r.p_cumulative for r in report.hops]
-        assert cums == pytest.approx([0.18, 0.18**2, 0.18**3, 0.18**4], rel=1e-12)
-        assert cums[-1] == pytest.approx(0.00105, abs=1e-5)
 
     def test_zero_click_probability_zeroes_every_hop(self):
         report = simulate_chain(BUILTIN_SCENARIOS["chip-c"], 3, p_click_override=0.0)
