@@ -13,12 +13,12 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import KEYS, ConfigError, RunConfig, load_config
 from .params import IntegrationError
 from .svgplot import LineChart
 
-# The field each sweep axis sets: hops on the run, the others on its scenario.
-_SWEEP_FIELDS = {"mux": "m_mux", "conv": "eta_conv", "hops": "hops", "length": "l_span"}
+# The config key each sweep axis sets; a sweep value is in the key's stored unit.
+_SWEEP_FIELDS = {"mux": "m_mux", "conv": "eta_conv", "hops": "hops", "length": "span"}
 SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 # Most CSV rows one command may write: one per hop per chain for chain and
@@ -164,13 +164,14 @@ def _sweep_run(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """The run at one sweep point; the constructors check the swept value's range."""
     if axis not in _SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    if axis in ("mux", "hops"):
+    spec = KEYS[_SWEEP_FIELDS[axis]]
+    if spec.kind is int:
         if value != int(value):
             raise ConfigError(f"{axis} sweep values must be integers, got {value}")
         value = int(value)
-    if axis == "hops":
-        return cfg.replace(hops=value)
-    return cfg.replace(scenario=cfg.scenario.replace(**{_SWEEP_FIELDS[axis]: value}))
+    if spec.owner == "run":
+        return cfg.replace(**{spec.field: value})
+    return cfg.replace(scenario=cfg.scenario.replace(**{spec.field: value}))
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> list[Path]:

@@ -5,21 +5,15 @@ Grammar, one statement per line::
     # comment (also allowed after a statement)
     key = value [unit]
 
-Unknown keys and missing or wrong unit suffixes are hard errors. Physical
-quantities must carry one of: GHz, MHz (frequencies, stored as angular
-rad/s), ns (times), km, cm (lengths), dB_per_km, dB_per_cm (attenuation).
+Unknown keys and missing or wrong unit suffixes are hard errors; the unit
+error lists the suffixes the key accepts. Physical quantities must carry one
+of: GHz, MHz (frequencies, stored as angular rad/s), ns (times), km, cm
+(lengths), dB_per_km, dB_per_cm (attenuation).
 Chip-scale cm quantities are normalized into the km lane by scaling the
 attenuation up and the span down by 100, preserving the span loss product.
 
-Recognized keys, by the command that reads them:
-
-* ``pair``: the coupling ``g_mc`` and the rates ``kappa_d``, ``gamma_d``,
-  ``kappa_phi``, ``gamma_phi`` of the resonant node, and the run times
-  ``t_final``, ``dt``
-* ``chain`` and ``sweep``: ``scenario`` (built-in name), ``hops``,
-  ``pclick_override``, ``p_link``, ``q_swap``, and the inline scenario
-  ``scenario_name``, ``alpha``, ``span``, ``eta_read``, ``eta_conv``,
-  ``eta_extra``, ``eta_det``, ``eta_col``, ``p_bsa``, ``m_mux``
+Every key is declared once, in :data:`KEYS`: the commands that read it,
+its type, its unit suffixes and the field it sets.
 
 :func:`parse_config_text` parses the text of one command's config and
 refuses, as ``file:line``, a key that command does not read;
@@ -86,74 +80,79 @@ class RunConfig(Value):
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
-_FREQ_UNITS = {"ghz": 1e9, "mhz": 1e6}
-_TIME_UNITS = {"ns": 1e-9}
-_LENGTH_UNITS = {"km": 1.0, "cm": 1.0 / 100.0}
-_ATTEN_UNITS = {"db_per_km": 1.0, "db_per_cm": 100.0}
+_REQUIRED = object()  # the default of an inline-scenario key that must be given
 
-_FREQ_KEYS = ("g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi")
-_TIME_KEYS = ("t_final", "dt")
-_FRACTION_KEYS = ("eta_read", "eta_conv", "eta_extra", "eta_det", "eta_col",
-                  "p_bsa", "p_link", "q_swap", "pclick_override")
-_COUNT_KEYS = ("hops", "m_mux")
-_NAME_KEYS = ("scenario", "scenario_name")
 
-_INLINE_REQUIRED = ("alpha", "span", "eta_read", "eta_extra", "eta_det",
-                    "eta_col", "p_bsa", "m_mux")
-_INLINE_KEYS = _INLINE_REQUIRED + ("eta_conv", "scenario_name")
+class Key(Value):
+    """One config key: the commands that read it, how its text is parsed, and what it sets."""
 
-# The keys each CLI command reads: pair the node, chain and sweep the chain model.
-_CHAIN_KEYS = frozenset(("scenario", "hops", "pclick_override", "p_link", "q_swap", *_INLINE_KEYS))
-COMMAND_KEYS = {
-    "pair": frozenset((*_FREQ_KEYS, *_TIME_KEYS)),
-    "chain": _CHAIN_KEYS,
-    "sweep": _CHAIN_KEYS,
+    commands: tuple[str, ...]
+    kind: type  # float, int or str (a name)
+    units: dict | None  # suffix -> conversion of the number to the stored unit; None: bare
+    owner: str  # what it sets: "lindblad", "run", "noise" or "scenario" (the inline one)
+    field: str  # the owner's field
+    default: object = _REQUIRED  # an inline-scenario key's value when it is left out
+
+
+_CHAIN = ("chain", "sweep")
+
+# Every config key, declared once. The inline-scenario keys are in ScenarioParams'
+# field order, which is the order scenario_to_config writes them in.
+KEYS = {
+    **{name: Key(("pair",), float, {"GHz": lambda v: TWO_PI * v * 1e9,
+                                    "MHz": lambda v: TWO_PI * v * 1e6}, "lindblad", name)
+       for name in ("g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi")},
+    **{name: Key(("pair",), float, {"ns": lambda v: v * 1e-9}, "run", name)
+       for name in ("t_final", "dt")},
+    "scenario": Key(_CHAIN, str, None, "run", "scenario"),  # a built-in scenario's name
+    "hops": Key(_CHAIN, int, None, "run", "hops"),
+    "pclick_override": Key(_CHAIN, float, None, "run", "pclick_override"),
+    "p_link": Key(_CHAIN, float, None, "noise", "p_link"),
+    "q_swap": Key(_CHAIN, float, None, "noise", "q_swap"),
+    # the chain SVG's title; sweep writes no name, so it does not read the key
+    "scenario_name": Key(("chain",), str, None, "scenario", "name", "custom"),
+    "alpha": Key(_CHAIN, float, {"dB_per_km": lambda v: v * 1.0, "dB_per_cm": lambda v: v * 100.0},
+                 "scenario", "alpha"),
+    "span": Key(_CHAIN, float, {"km": lambda v: v * 1.0, "cm": lambda v: v * (1.0 / 100.0)},
+                "scenario", "l_span"),
+    "eta_read": Key(_CHAIN, float, None, "scenario", "eta_read"),
+    # left out: a microwave link, with no conversion stage
+    "eta_conv": Key(_CHAIN, float, None, "scenario", "eta_conv", None),
+    **{name: Key(_CHAIN, float, None, "scenario", name)
+       for name in ("eta_extra", "eta_det", "eta_col", "p_bsa")},
+    "m_mux": Key(_CHAIN, int, None, "scenario", "m_mux"),
 }
-KNOWN_KEYS = COMMAND_KEYS["pair"] | _CHAIN_KEYS
+_INLINE_SCENARIO_KEYS = [key for key, spec in KEYS.items() if spec.owner == "scenario"]
+COMMAND_KEYS = {
+    command: frozenset(key for key, spec in KEYS.items() if command in spec.commands)
+    for command in ("pair", "chain", "sweep")
+}
 
 
-def _parse_number(token: str, key: str, where: str) -> float:
+def _parse_value(key: str, token: str, unit: str | None, where: str):
+    spec = KEYS[key]
+    convert = None
+    if spec.units is None:
+        if unit is not None:
+            raise ConfigError(f"{where}: {key} takes no unit suffix, got {unit!r}")
+    else:
+        convert = next((f for u, f in spec.units.items() if u.lower() == (unit or "").lower()),
+                       None)
+        if convert is None:
+            got = "none" if unit is None else repr(unit)
+            raise ConfigError(
+                f"{where}: {key} needs a unit suffix ({' or '.join(spec.units)}), got {got}"
+            )
+    if spec.kind is str:
+        return token
     try:
-        v = float(token)
+        v = spec.kind(token)
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {token!r} as a number") from None
-    if not math.isfinite(v):
+        what = "an integer" if spec.kind is int else "a number"
+        raise ConfigError(f"{where}: cannot parse {key} = {token!r} as {what}") from None
+    if spec.kind is float and not math.isfinite(v):
         raise ConfigError(f"{where}: {key} must be finite, got {token!r}")
-    return v
-
-
-def _parse_value(key: str, value: str, unit: str | None, where: str):
-    if key in _FREQ_KEYS:
-        if unit is None:
-            raise ConfigError(f"{where}: {key} needs a unit suffix (GHz or MHz)")
-        mult = _FREQ_UNITS.get(unit.lower())
-        if mult is None:
-            raise ConfigError(f"{where}: {key} takes GHz or MHz, not {unit!r}")
-        return TWO_PI * _parse_number(value, key, where) * mult
-    if key in _TIME_KEYS:
-        if unit is None or unit.lower() not in _TIME_UNITS:
-            raise ConfigError(f"{where}: {key} needs the ns unit suffix")
-        return _parse_number(value, key, where) * _TIME_UNITS[unit.lower()]
-    if key == "span":
-        if unit is None or unit.lower() not in _LENGTH_UNITS:
-            raise ConfigError(f"{where}: span takes km or cm, got {unit!r}")
-        return _parse_number(value, key, where) * _LENGTH_UNITS[unit.lower()]
-    if key == "alpha":
-        if unit is None or unit.lower() not in _ATTEN_UNITS:
-            raise ConfigError(f"{where}: alpha takes dB_per_km or dB_per_cm, got {unit!r}")
-        return _parse_number(value, key, where) * _ATTEN_UNITS[unit.lower()]
-    if unit is not None:
-        raise ConfigError(f"{where}: {key} takes no unit suffix, got {unit!r}")
-    if key in _FRACTION_KEYS:
-        return _parse_number(value, key, where)
-    if key in _COUNT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} must be an integer, got {value!r}") from None
-    if key in _NAME_KEYS:
-        return value
-    raise ConfigError(f"{where}: unhandled key {key!r}")  # pragma: no cover
+    return v if convert is None else convert(v)
 
 
 def _read_values(text: str, command: str, source: str) -> dict[str, object]:
@@ -168,9 +167,9 @@ def _read_values(text: str, command: str, source: str) -> dict[str, object]:
             raise ConfigError(f"{where}: expected 'key = value [unit]', got {raw.strip()!r}")
         key_part, value_part = line.split("=", 1)
         key = key_part.strip().lower()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        if key not in COMMAND_KEYS[command]:
+        if command not in KEYS[key].commands:
             raise ConfigError(f"{where}: the {command} command does not read {key!r}")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
@@ -186,48 +185,38 @@ def _read_values(text: str, command: str, source: str) -> dict[str, object]:
 
 def _run_config(values: dict[str, object], source: str) -> RunConfig:
     """The run that the parsed ``values`` describe, checked by the constructors."""
-    inline_present = [k for k in _INLINE_KEYS if k in values]
-    if "scenario" in values and inline_present:
+    owners = {"lindblad": {}, "run": {}, "noise": {}, "scenario": {}}
+    for key, value in values.items():
+        owners[KEYS[key].owner][KEYS[key].field] = value
+    run, noise = owners["run"], owners["noise"]
+    inline_present = [k for k in _INLINE_SCENARIO_KEYS if k in values]
+    if "scenario" in run and inline_present:
         raise ConfigError(
             f"{source}: 'scenario' cannot be combined with inline scenario keys {inline_present}"
         )
-    missing = [k for k in _INLINE_REQUIRED if k not in values]
+    missing = [k for k in _INLINE_SCENARIO_KEYS
+               if k not in values and KEYS[k].default is _REQUIRED]
     if inline_present and missing:
         raise ConfigError(f"{source}: inline scenario is missing keys {missing}")
 
-    run_kwargs = {k: values[k] for k in ("hops", "pclick_override", *_TIME_KEYS) if k in values}
-    noise_kwargs = {k: values[k] for k in ("p_link", "q_swap") if k in values}
     try:
-        if inline_present or "scenario" in values or noise_kwargs:
+        if inline_present or "scenario" in run or noise:
             from . import network  # the chain model, loaded only for its own keys
 
             if inline_present:
-                run_kwargs["scenario"] = network.ScenarioParams(
-                    name=values.get("scenario_name", "custom"),
-                    alpha=values["alpha"],
-                    l_span=values["span"],
-                    eta_read=values["eta_read"],
-                    eta_conv=values.get("eta_conv"),
-                    eta_extra=values["eta_extra"],
-                    eta_det=values["eta_det"],
-                    eta_col=values["eta_col"],
-                    p_bsa=values["p_bsa"],
-                    m_mux=values["m_mux"],
-                )
-            elif "scenario" in values:
-                run_kwargs["scenario"] = network.get_scenario(values["scenario"])
-            if noise_kwargs:
-                run_kwargs["noise"] = network.NoiseModel(**noise_kwargs)
-        return RunConfig(
-            lindblad=LindbladParams(**{k: values[k] for k in _FREQ_KEYS if k in values}),
-            **run_kwargs,
-        )
+                defaults = {KEYS[k].field: KEYS[k].default for k in _INLINE_SCENARIO_KEYS}
+                run["scenario"] = network.ScenarioParams(**{**defaults, **owners["scenario"]})
+            elif "scenario" in run:
+                run["scenario"] = network.get_scenario(run["scenario"])
+            if noise:
+                run["noise"] = network.NoiseModel(**noise)
+        return RunConfig(lindblad=LindbladParams(**owners["lindblad"]), **run)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 
 
 def parse_config_text(text: str, command: str, source: str = "<config>") -> RunConfig:
-    """Parse the config text of one CLI command; see the module docstring for its keys."""
+    """Parse the config text of one CLI command; :data:`KEYS` declares its keys."""
     return _run_config(_read_values(text, command, source), source)
 
 
@@ -244,21 +233,14 @@ def load_config(path: str | Path, command: str) -> RunConfig:
 def scenario_to_config(s: ScenarioParams) -> str:
     """Serialize a scenario as config lines that re-load to an equal value.
 
-    Floats are written with full repr precision so the round trip is exact.
+    Each value is written in the unit it is stored in, floats with full repr
+    precision, so the round trip is exact; an unset ``eta_conv`` is left out.
     """
-    lines = [
-        f"scenario_name = {s.name}",
-        f"alpha = {s.alpha!r} dB_per_km",
-        f"span = {s.l_span!r} km",
-        f"eta_read = {s.eta_read!r}",
-    ]
-    if s.eta_conv is not None:
-        lines.append(f"eta_conv = {s.eta_conv!r}")
-    lines += [
-        f"eta_extra = {s.eta_extra!r}",
-        f"eta_det = {s.eta_det!r}",
-        f"eta_col = {s.eta_col!r}",
-        f"p_bsa = {s.p_bsa!r}",
-        f"m_mux = {s.m_mux}",
-    ]
+    lines = []
+    for key in _INLINE_SCENARIO_KEYS:
+        value = getattr(s, KEYS[key].field)
+        if value is not None:
+            units = KEYS[key].units or {}  # the stored unit is the one that converts 1 to 1
+            unit = next((f" {u}" for u, convert in units.items() if convert(1.0) == 1.0), "")
+            lines.append(f"{key} = {value}{unit}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,19 @@
 """CLI commands, CSV schemas, SVG output, determinism and exit codes."""
+import contextlib
 import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from magrep import dynamics, excitation, network
 from magrep.cli import MAX_CSV_ROWS, _fmt, _sweep_run, cmd_pair, exit_code_for, main
-from magrep.config import COMMAND_KEYS, ConfigError, RunConfig
+from magrep.config import COMMAND_KEYS, KEYS, ConfigError, RunConfig
 from magrep.dynamics import IntegrationError
 
 
@@ -383,6 +387,8 @@ class TestConfigIntegration:
         (["chain"], ["hops = 3", "t_final = 5 ns"]),
         (["chain"], ["g_mc = 1 MHz"]),
         (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2"], ["g_mc = 1 MHz"]),
+        # the chain SVG's title; sweep writes the name nowhere
+        (["sweep", "--sweep-axis", "mux", "--sweep-values", "1,2"], ["scenario_name = metro-c"]),
     ])
     def test_config_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, lines):
         cfg = tmp_path / "run.cfg"
@@ -499,3 +505,48 @@ class TestDeterminismAndErrors:
     ])
     def test_fmt_on_numpy_and_python_scalars(self, value, text):
         assert _fmt(value) == text
+
+
+# Random config lines and flags for the exit-code contract: known and unknown keys,
+# units in any case, and values that are out of range, non-finite, oversized, hex
+# or non-ASCII digits. Every count stays small enough for a run to take milliseconds.
+_FUZZ_VALUES = ["1", "0", "-1", "0.5", "2.5", "130", "1e-3", "nan", "-inf", "1e400", "0x10",
+                "٣", "1_000", "chip-a", "Metro-C", "often"]
+_FUZZ_UNITS = ["", " GHz", " mhz", " NS", " km", " Cm", " dB_per_km", " DB_PER_CM", " furlong",
+               " MHz extra"]
+_FUZZ_LINE = st.one_of(
+    st.builds("{} = {}{}".format, st.sampled_from([*KEYS, "omega_c", "dim_c", "seed", "G_MC"]),
+              st.sampled_from(_FUZZ_VALUES), st.sampled_from(_FUZZ_UNITS)),
+    st.sampled_from(["# comment", "", "hops", "= 3", "hops = ", "a = b = c"]),
+)
+_FUZZ_FLAGS = [["--ideal"], ["--format", "csv,svg"], ["--format", "pdf"], ["--hops", "3"],
+               ["--hops", "0"], ["--scenario", "metro-c"], ["--scenario", "nowhere"],
+               ["--pclick-override", "0.3"], ["--pclick-override", "nan"]]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["pair", "chain", "sweep"]),
+    lines=st.lists(_FUZZ_LINE, max_size=6),
+    flags=st.lists(st.sampled_from(_FUZZ_FLAGS), max_size=3),
+    axis=st.sampled_from(["mux", "conv", "hops", "length"]),
+    values=st.sampled_from(["1,2", "0.5", "1e400", "٣", "0x10", "nan", "", "3,30"]),
+)
+def test_random_inputs_exit_with_a_documented_code(tmp_path_factory, command, lines, flags,
+                                                  axis, values):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(root / "out"),
+            *(arg for flag in flags for arg in flag)]
+    if command == "sweep":
+        argv += ["--sweep-axis", axis, "--sweep-values", values]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a flag the command does not declare
+            code = exc.code
+    assert code in (0, 2, 3, 4), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()

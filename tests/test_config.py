@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from magrep.cli import main
 from magrep.config import (
     COMMAND_KEYS,
+    KEYS,
     ConfigError,
     RunConfig,
     load_config,
@@ -51,6 +53,26 @@ class TestUnits:
         assert fiber_only == pytest.approx(10 ** (-0.02), rel=1e-12)
         assert link_efficiency(cfg.scenario) == pytest.approx(10 ** (-0.02) * 0.98, rel=1e-12)
 
+    @pytest.mark.parametrize("line, stored, convert", [
+        ("g_mc = {} GHz", lambda c: c.lindblad.g_mc, lambda v: TWO_PI * v * 1e9),
+        ("kappa_d = {} mhz", lambda c: c.lindblad.kappa_d, lambda v: TWO_PI * v * 1e6),
+        ("dt = {} NS", lambda c: c.dt, lambda v: v * 1e-9),
+        ("span = {} cm", lambda c: c.scenario.l_span, lambda v: v * (1.0 / 100.0)),
+        ("alpha = {} dB_per_cm", lambda c: c.scenario.alpha, lambda v: v * 100.0),
+    ], ids=["GHz", "MHz", "ns", "cm", "dB_per_cm"])
+    def test_conversions_are_bit_exact(self, line, stored, convert):
+        # Grouping differently, e.g. v * (TWO_PI * 1e6), changes the last bit of about
+        # a third of these values, which the 9-digit CSVs would not show.
+        key = line.split()[0]
+        command = KEYS[key].commands[0]
+        base = [] if command == "pair" else [  # chip-a inline, but for this key
+            ln for ln in scenario_to_config(BUILTIN_SCENARIOS["chip-a"]).splitlines()
+            if not ln.startswith(key + " ")
+        ]
+        for v in [0.01 * k for k in range(1, 100)]:
+            cfg = parse_config_text("\n".join([*base, line.format(repr(v))]), command)
+            assert stored(cfg) == convert(v), v
+
     def test_missing_unit_suffix_is_an_error(self):
         with pytest.raises(ConfigError, match="needs a unit suffix"):
             parse_config_text("g_mc = 130\n", "pair")
@@ -62,6 +84,41 @@ class TestUnits:
     def test_unit_on_bare_quantity_is_an_error(self):
         with pytest.raises(ConfigError, match="no unit suffix"):
             parse_config_text("eta_det = 0.9 MHz\n", "chain")
+
+
+def _bad_lines(key):
+    """Lines that must fail for ``key``: unit errors, and number errors unless it is a name."""
+    spec = KEYS[key]
+    if spec.units is None:
+        cases = {"unit on a bare key": f"{key} = 1 km"}
+    else:
+        unit = next(iter(spec.units))
+        cases = {"missing unit": f"{key} = 1", "wrong unit": f"{key} = 1 furlong"}
+    if spec.kind is not str:
+        suffix = "" if spec.units is None else f" {unit.lower()}"
+        cases |= {"non-number": f"{key} = often{suffix}", "nan": f"{key} = nan{suffix}"}
+    return cases
+
+
+@pytest.mark.parametrize("key, case, line", [
+    pytest.param(key, case, line, id=f"{key}-{case}")
+    for key in KEYS for case, line in _bad_lines(key).items()
+])
+def test_every_key_refuses_bad_text_by_name_and_line(tmp_path, capsys, key, case, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# one bad line\n{line}\n")
+    command = KEYS[key].commands[0]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--sweep-axis", "mux", "--sweep-values", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: " in err
+    message = err.split(f"{cfg}:2: ", 1)[1]
+    assert key in message
+    if case in ("missing unit", "wrong unit"):
+        assert all(unit in message for unit in KEYS[key].units)  # one error lists every suffix
+    assert not (tmp_path / "out").exists()
 
 
 class TestParsing:
@@ -128,7 +185,7 @@ class TestParsing:
         text = scenario_to_config(BUILTIN_SCENARIOS["metro-c"])
         kept = [ln for ln in text.splitlines() if not ln.startswith(line.split()[0] + " ")]
         with pytest.raises(ConfigError, match=rf"^run\.cfg: {key}"):
-            parse_config_text("\n".join([*kept, line]) + "\n", "sweep", source="run.cfg")
+            parse_config_text("\n".join([*kept, line]) + "\n", "chain", source="run.cfg")
 
     def test_count_bounds(self):
         with pytest.raises(ConfigError, match=">= 1"):

@@ -414,6 +414,24 @@ class TestGenerateBellPair:
         _, f_full = generate_bell_pair(p, hamiltonian="full")
         assert abs(f_rwa - f_full) < 0.01
 
+    @pytest.mark.parametrize("ghz", [10, 20, 40])
+    def test_rwa_error_is_second_order_in_coupling_over_frequency(self, ghz):
+        # The 2x2 checks above cannot fail: at that truncation the counter-rotating
+        # terms cannot act on |0_m 1_c>, since m^dag c^dag needs |2_c>. Lossless at
+        # dim 4 (within 0.8 % of dims 5 and 6) the RWA reaches the target, while the
+        # full model misses it by (g/omega)^2 to leading order. The next correction is
+        # one order higher in g/omega, so the ratio's distance from 1 shrinks with it:
+        # converged ratios 0.975, 0.997, 1.004 at 10, 20, 40 GHz lie within 2 g/omega
+        # of 1, and the band allows 4 g/omega (0.052, 0.026, 0.013). A first-order
+        # error, a wrong prefactor or no counter-rotating effect at all falls outside.
+        omega = 2 * math.pi * ghz * 1e9
+        p = LindbladParams(omega_c=omega, omega_m=omega, dim_c=4, dim_m=4).without_dissipation()
+        _, f_rwa = generate_bell_pair(p, hamiltonian="rwa")
+        _, f_full = generate_bell_pair(p, hamiltonian="full")
+        assert 1 - f_rwa < 1e-9
+        ratio = (1 - f_full) / (p.g_mc / omega) ** 2
+        assert abs(ratio - 1) < 4 * p.g_mc / omega
+
     def test_peak_sits_at_quarter_period(self):
         p = LindbladParams()
         trace = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc))
