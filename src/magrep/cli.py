@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import KEYS, ConfigError, RunConfig, load_config
+from .config import KEYS, ConfigError, RunConfig, load_config, to_number
 from .params import IntegrationError
 from .svgplot import LineChart
 
@@ -31,13 +31,10 @@ MAX_CSV_ROWS = 10_000
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells; skips the numpy-scalar probe below
-        return format(value, ".9g")
-    value = value.item() if hasattr(value, "item") else value  # numpy scalar -> Python
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".9g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
@@ -252,7 +249,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_sweep_values(raw: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [to_number(float, tok.strip()) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {raw!r}") from None
     if not all(math.isfinite(v) for v in values):

@@ -8,7 +8,8 @@ Grammar, one statement per line::
 Unknown keys and missing or wrong unit suffixes are hard errors; the unit
 error lists the suffixes the key accepts. Physical quantities must carry one
 of: GHz, MHz (frequencies, stored as angular rad/s), ns (times), km, cm
-(lengths), dB_per_km, dB_per_cm (attenuation).
+(lengths), dB_per_km, dB_per_cm (attenuation). A number is an ASCII token
+such as ``-1.5e3``; ``_`` digit separators and non-ASCII digits are refused.
 Chip-scale cm quantities are normalized into the km lane by scaling the
 attenuation up and the span down by 100, preserving the span loss product.
 
@@ -129,6 +130,13 @@ COMMAND_KEYS = {
 }
 
 
+def to_number(kind: type, token: str):
+    """``kind(token)`` for an ASCII number token; ``_`` separators and other digits are refused."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a plain number: {token!r}")
+    return kind(token)
+
+
 def _parse_value(key: str, token: str, unit: str | None, where: str):
     spec = KEYS[key]
     convert = None
@@ -146,7 +154,7 @@ def _parse_value(key: str, token: str, unit: str | None, where: str):
     if spec.kind is str:
         return token
     try:
-        v = spec.kind(token)
+        v = to_number(spec.kind, token)
     except ValueError:
         what = "an integer" if spec.kind is int else "a number"
         raise ConfigError(f"{where}: cannot parse {key} = {token!r} as {what}") from None

@@ -32,7 +32,6 @@ class BellOutcome(Value, eq=False):
     """One heralded measurement result: projector plus feed-forward correction."""
 
     label: str
-    index: int
     projector: np.ndarray
     correction: np.ndarray
 
@@ -45,9 +44,9 @@ def _build_outcomes() -> tuple[BellOutcome, ...]:
         "phi_minus": PAULI_X,
     }
     out = []
-    for j, label in enumerate(BELL_LABELS):
+    for label in BELL_LABELS:
         proj = bell_state(label).matrix
-        out.append(BellOutcome(label=label, index=j, projector=proj, correction=corrections[label]))
+        out.append(BellOutcome(label=label, projector=proj, correction=corrections[label]))
     return tuple(out)
 
 
@@ -92,33 +91,20 @@ def _require_four_qubits(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> None
     space.index(qubit_b)
 
 
-def bsm_probabilities(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> np.ndarray:
-    """Probabilities of the four Bell clicks on qubits (a, b)."""
-    _require_four_qubits(rho, qubit_a, qubit_b)
-    probs = np.empty(4)
-    for o in BELL_OUTCOMES:
-        proj = embed(o.projector, rho.space, (qubit_a, qubit_b))
-        probs[o.index] = float(np.real(np.trace(proj @ rho.matrix)))
-    return probs
-
-
 def bsm(rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str) -> SwapResult:
     """Bell-state measurement on qubits (a, b) of a four-qubit state, heralding ``outcome``.
 
     ``outcome`` is a Bell label whose branch has probability >=
-    ``ZERO_BRANCH_TOL``. The two surviving qubits are renormalized, and the
-    outcome's Pauli correction is applied to the second survivor so every
-    branch lands on the same target pair.
+    ``ZERO_BRANCH_TOL``. Only that branch is evaluated. The two surviving
+    qubits are renormalized, and the outcome's Pauli correction is applied to
+    the second survivor so every branch lands on the same target pair.
     """
-    probs = bsm_probabilities(rho, qubit_a, qubit_b)
+    _require_four_qubits(rho, qubit_a, qubit_b)
     chosen = bell_outcome(outcome)
-    if probs[chosen.index] < ZERO_BRANCH_TOL:
-        raise ValueError(
-            f"outcome {chosen.label} has probability {probs[chosen.index]:.3e}; branch is empty"
-        )
-
     proj = embed(chosen.projector, rho.space, (qubit_a, qubit_b))
-    prob = float(probs[chosen.index])
+    prob = float(np.real(np.trace(proj @ rho.matrix)))
+    if prob < ZERO_BRANCH_TOL:
+        raise ValueError(f"outcome {chosen.label} has probability {prob:.3e}; branch is empty")
     reduced = proj @ rho.matrix @ proj / prob
     keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
     survivors = partial_trace(DensityMatrix(rho.space, reduced), keep)

@@ -204,7 +204,7 @@ def test_criterion_04_swap_oracle_equivalence():
         rho = qcore.DensityMatrix(space, ginibre_matrix(rng, 16))
         for o in swap.BELL_OUTCOMES:
             result = swap.bsm(rho, "q1", "q2", outcome=o.label)
-            prob_bf, post_bf = brute_force_bsm(rho.matrix, o.index)
+            prob_bf, post_bf = brute_force_bsm(rho.matrix, qcore.BELL_LABELS.index(o.label))
             worst = max(
                 worst,
                 abs(result.probability - prob_bf),

@@ -96,7 +96,9 @@ def _bad_lines(key):
         cases = {"missing unit": f"{key} = 1", "wrong unit": f"{key} = 1 furlong"}
     if spec.kind is not str:
         suffix = "" if spec.units is None else f" {unit.lower()}"
-        cases |= {"non-number": f"{key} = often{suffix}", "nan": f"{key} = nan{suffix}"}
+        cases |= {"non-number": f"{key} = often{suffix}", "nan": f"{key} = nan{suffix}",
+                  "digit separator": f"{key} = 1_000{suffix}",
+                  "non-ASCII digit": f"{key} = \u0663{suffix}"}  # Arabic-Indic three
     return cases
 
 
@@ -118,7 +120,18 @@ def test_every_key_refuses_bad_text_by_name_and_line(tmp_path, capsys, key, case
     assert key in message
     if case in ("missing unit", "wrong unit"):
         assert all(unit in message for unit in KEYS[key].units)  # one error lists every suffix
+    if case in ("digit separator", "non-ASCII digit"):
+        assert "cannot parse" in message
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1_000", "\u0663"], ids=["digit separator", "non-ASCII digit"])
+def test_sweep_values_refuse_what_a_config_file_refuses(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["sweep", "--sweep-axis", "hops", "--sweep-values", f"2,{value}",
+                 "--out", str(out)]) == 2
+    assert "cannot parse sweep values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestParsing:

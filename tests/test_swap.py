@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magrep.qcore import (
+    BELL_LABELS,
     DensityMatrix,
     bell_state,
     fidelity,
@@ -20,7 +21,6 @@ from magrep.swap import (
     beam_splitter_unitary,
     bell_outcome,
     bsm,
-    bsm_probabilities,
     depolarize,
     heralded_link_probability,
     node_swap_gate,
@@ -80,7 +80,7 @@ class TestBellOutcomes:
             assert matrices_equal(o.projector @ o.projector, o.projector, atol=1e-12)
         for a in BELL_OUTCOMES:
             for b in BELL_OUTCOMES:
-                if a.index != b.index:
+                if a is not b:
                     assert np.max(np.abs(a.projector @ b.projector)) <= 1e-12
 
     def test_correction_table(self):
@@ -96,17 +96,23 @@ class TestBellOutcomes:
             assert np.array_equal(o.correction, expected[o.label])
 
     def test_lookup(self):
-        assert bell_outcome("phi_plus").index == 2
-        assert bell_outcome("psi_minus").index == 1
+        assert bell_outcome("phi_plus").label == "phi_plus"
+        assert bell_outcome("psi_minus").label == "psi_minus"
         with pytest.raises(ValueError, match="unknown outcome"):
             bell_outcome("nope")
         with pytest.raises(ValueError, match="unknown outcome"):
             bell_outcome(2)  # an index is not a label
 
 
+def branch_probabilities(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> np.ndarray:
+    """``bsm``'s probability of each Bell outcome, in ``BELL_LABELS`` order."""
+    return np.array([bsm(rho, qubit_a, qubit_b, outcome=label).probability
+                     for label in BELL_LABELS])
+
+
 class TestBSM:
     def test_singlet_singlet_uniform_outcomes(self):
-        probs = bsm_probabilities(two_singlets(), "q1", "q2")
+        probs = branch_probabilities(two_singlets(), "q1", "q2")
         assert np.allclose(probs, 0.25, atol=1e-10)
 
     def test_singlet_singlet_every_outcome_restores_singlet(self):
@@ -130,7 +136,7 @@ class TestBSM:
 
     def test_outcome_distribution_on_random_states(self, rng):
         for _ in range(100):
-            probs = bsm_probabilities(random_four_qubit(rng), "q1", "q2")
+            probs = branch_probabilities(random_four_qubit(rng), "q1", "q2")
             assert np.all(probs >= -1e-12)
             assert np.all(probs <= 1 + 1e-12)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -140,7 +146,7 @@ class TestBSM:
             rho = random_four_qubit(rng)
             for o in BELL_OUTCOMES:
                 result = bsm(rho, "q1", "q2", outcome=o.label)
-                prob_bf, post_bf = brute_force_bsm(rho.matrix, o.index)
+                prob_bf, post_bf = brute_force_bsm(rho.matrix, BELL_LABELS.index(o.label))
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
 
@@ -155,18 +161,27 @@ class TestBSM:
             moved = rho.matrix.reshape((2,) * 8).transpose(order + [4 + i for i in order])
             for o in BELL_OUTCOMES:
                 result = bsm(rho, *pair, outcome=o.label)
-                prob_bf, post_bf = brute_force_bsm(moved.reshape(16, 16), o.index)
+                prob_bf, post_bf = brute_force_bsm(moved.reshape(16, 16),
+                                                   BELL_LABELS.index(o.label))
                 assert result.post_state.space.labels == survivors
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
 
-    def test_zero_probability_branch_rejected(self):
-        space = qubit_space("q0", "q1", "q2", "q3")
+    @staticmethod
+    def all_zeros() -> DensityMatrix:
         m = np.zeros((16, 16), dtype=complex)
-        m[0, 0] = 1.0  # |0000>
-        rho = DensityMatrix(space, m)
-        with pytest.raises(ValueError, match="branch is empty"):
-            bsm(rho, "q1", "q2", outcome="psi_minus")
+        m[0, 0] = 1.0  # |0000>: q1 q2 in |00>, which only the phi outcomes contain
+        return DensityMatrix(qubit_space("q0", "q1", "q2", "q3"), m)
+
+    @pytest.mark.parametrize("outcome", ["psi_plus", "psi_minus"])
+    def test_zero_probability_branch_rejected(self, outcome):
+        message = f"outcome {outcome} has probability .*; branch is empty"
+        with pytest.raises(ValueError, match=message):
+            bsm(self.all_zeros(), "q1", "q2", outcome=outcome)
+
+    def test_nonempty_branch_of_the_same_state(self):
+        result = bsm(self.all_zeros(), "q1", "q2", outcome="phi_plus")
+        assert result.probability == pytest.approx(0.5, abs=1e-12)
 
     def test_mode_must_be_specified(self):
         with pytest.raises(TypeError, match="outcome"):
