@@ -25,6 +25,7 @@ def main() -> None:
         )
         with open(cmd_chain(cfg)[0], newline="", encoding="utf-8") as fh:
             last = list(csv.DictReader(fh))[-1]
+        # chain.csv has no p_click column: perfbench/oracle.check_chain pins its header exactly
         print(
             f"{name:10s} {network.click_probability(cfg.scenario):11.3e} "
             f"{float(last['p_hop']):9.4f} {float(last['p_cumulative']):11.3e} "

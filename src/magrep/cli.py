@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pclick-override", type=float, dest="pclick_override",
                        help="pin the single-channel click probability")
     for p in (pair, chain):
-        p.add_argument("--format", help="comma-separated outputs: csv,svg (default csv)")
+        p.add_argument("--format", help="comma-separated outputs, csv and/or svg (default csv); "
+                                        "the CSVs are always written, svg adds the plot")
     pair.add_argument("--ideal", action="store_true", help="zero all dissipation rates")
     sweep.add_argument("--sweep-axis", required=True, choices=SWEEP_AXES)
     sweep.add_argument("--sweep-values", required=True,

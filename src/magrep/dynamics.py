@@ -4,7 +4,7 @@ A node couples one microwave cavity mode to one magnon mode (both truncated,
 two levels by default). The module builds the beam-exchange Hamiltonians and
 the four decay/dephasing collapse operators, integrates the master equation
 with a fixed-step classical 4th-order scheme, and produces the heralded
-cavity-magnon Bell pair together with its concurrence trace.
+cavity-magnon Bell pair.
 
 Units: all frequencies and rates are angular (rad/s); times are seconds.
 """
@@ -34,7 +34,6 @@ from .qcore import (
     HilbertSpec,
     basis_ket,
     concurrence,  # noqa: F401  (unused here; perfbench's tests patch this binding)
-    concurrences,
     fidelity,
 )
 
@@ -44,21 +43,20 @@ class EvolutionTrace(Value, eq=False):
 
     ``states[k]`` is the checked state at ``times[k]`` in the product basis
     |n_m n_c>, one read-only ``(n, D, D)`` array that ``populations`` and
-    ``final_state`` read. ``concurrences`` is None unless both truncations are
-    2. The diagnostic arrays witness trace/Hermiticity/positivity drift.
+    ``final_state`` read; for two qubits ``qcore.concurrences(states)`` gives
+    every record's concurrence. The diagnostic arrays witness
+    trace/Hermiticity/positivity drift.
     """
 
     space: HilbertSpec
     times: np.ndarray
     states: np.ndarray
-    concurrences: np.ndarray | None
     trace_errors: np.ndarray
     herm_errors: np.ndarray
     min_eigenvalues: np.ndarray
 
     def __repr__(self) -> str:  # omits the (n, D, D) state stack and the diagnostic arrays
-        return (f"EvolutionTrace(space={self.space!r}, times={self.times!r}, "
-                f"concurrences={self.concurrences!r})")
+        return f"EvolutionTrace(space={self.space!r}, times={self.times!r})"
 
     @property
     def populations(self) -> np.ndarray:
@@ -338,14 +336,12 @@ def evolve(
         states = _propagate_matrix_free(rho0.matrix, h, jumps, dt_used, segments)
     times = np.cumsum([0, *segments]) * dt_used
 
-    track_concurrence = p.dim_c == 2 and p.dim_m == 2
     tr_errs, herm_errs, min_eigs = _check_records(states, times)
     states.setflags(write=False)
     return EvolutionTrace(
         space=space,
         times=times,
         states=states,
-        concurrences=concurrences(states) if track_concurrence else None,
         trace_errors=tr_errs,
         herm_errors=herm_errs,
         min_eigenvalues=min_eigs,
@@ -358,9 +354,8 @@ def initial_pair_state(p: LindbladParams) -> DensityMatrix:
     return DensityMatrix.from_ket(space, basis_ket(space, (0, 1)))
 
 
-def target_pair_state(p: LindbladParams | None = None) -> DensityMatrix:
+def target_pair_state(p: LindbladParams) -> DensityMatrix:
     """The heralded pair target (|0_m 1_c> - i |1_m 0_c>)/sqrt(2)."""
-    p = p or LindbladParams()
     space = node_space(p)
     ket = (basis_ket(space, (0, 1)) - 1j * basis_ket(space, (1, 0))) / math.sqrt(2.0)
     return DensityMatrix.from_ket(space, ket)

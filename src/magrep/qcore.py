@@ -17,9 +17,6 @@ import numpy as np
 
 from .params import HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, Value
 
-# Entrywise comparison tolerance (absolute).
-DEFAULT_ATOL = 1e-10
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -41,11 +38,6 @@ _BELL_KETS = {
     "phi_plus": np.array([1, 0, 0, 1], dtype=complex) * _SQRT_HALF,
     "phi_minus": np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
 }
-
-
-def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise equality of two arrays within an absolute tolerance."""
-    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= atol))
 
 
 class HilbertSpec(Value):
@@ -145,9 +137,6 @@ class DensityMatrix(Value, eq=False):
             raise ValueError("zero state vector")
         v = v / norm
         return cls(space, np.outer(v, v.conj()))
-
-    def isclose(self, other: "DensityMatrix", atol: float = DEFAULT_ATOL) -> bool:
-        return self.space == other.space and matrices_equal(self.matrix, other.matrix, atol)
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

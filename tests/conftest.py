@@ -13,10 +13,23 @@ from magrep.qcore import DensityMatrix, qubit_space
 
 RNG_SEED = 20240917
 
+# Entrywise comparison tolerance (absolute).
+DEFAULT_ATOL = 1e-10
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(RNG_SEED)
+
+
+def matrices_equal(a: np.ndarray, b: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
+    """Entrywise equality of two arrays within an absolute tolerance."""
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= atol))
+
+
+def states_close(rho: DensityMatrix, sigma: DensityMatrix, atol: float = DEFAULT_ATOL) -> bool:
+    """Same labeled space and entrywise-equal matrices within ``atol``."""
+    return rho.space == sigma.space and matrices_equal(rho.matrix, sigma.matrix, atol)
 
 
 def ginibre_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -155,12 +168,13 @@ if not _LOSSLESS_RESIDUAL <= 1e-12:
     )
 
 
-def exact_chain_state(p_link: float, q_swap: float, hops: int) -> DensityMatrix:
-    """Density-matrix pipeline: ``hops`` Werner links fused by ``hops - 1`` swaps."""
-    left = qcore.werner_state(p_link, ("end", "r0"))
+def exact_chain_state(
+    link: np.ndarray, q_swap: float, hops: int, herald: str = "psi_minus"
+) -> DensityMatrix:
+    """Density-matrix pipeline: ``hops`` copies of a two-qubit link fused by ``hops - 1`` swaps."""
+    left = DensityMatrix(qubit_space("end", "r0"), link)
     for j in range(1, hops):
-        right = qcore.werner_state(p_link, (f"a{j}", f"b{j}"))
-        joint = qcore.tensor_product(left, right)
-        result = swap.bsm(joint, left.space.labels[1], f"a{j}", outcome="psi_minus")
+        joint = qcore.tensor_product(left, DensityMatrix(qubit_space(f"a{j}", f"b{j}"), link))
+        result = swap.bsm(joint, left.space.labels[1], f"a{j}", outcome=herald)
         left = swap.depolarize(result.post_state, q_swap)
     return left

@@ -21,7 +21,7 @@ from magrep import dynamics, network, qcore, swap
 from magrep.config import parse_config_text, scenario_to_config
 from magrep.dynamics import LindbladParams
 from magrep.network import BUILTIN_SCENARIOS, NoiseModel
-from magrep.qcore import bell_state, fidelity, tensor_product, werner_state
+from magrep.qcore import bell_state, concurrences, fidelity, tensor_product, werner_state
 from conftest import (
     brute_force_bsm,
     exact_chain_state,
@@ -107,19 +107,21 @@ def test_criterion_01_pair_generation_peak_concurrence(
     fig_params, band_params, generation_run, band_generation_run
 ):
     trace, elapsed = generation_run
+    conc = concurrences(trace.states)
     exact = _oracle_concurrence(fig_params, trace.times)
-    dev = float(np.max(np.abs(trace.concurrences - exact)))
+    dev = float(np.max(np.abs(conc - exact)))
     band_trace, _ = band_generation_run
     band_exact = _oracle_concurrence(band_params, band_trace.times)
-    band_dev = float(np.max(np.abs(band_trace.concurrences - band_exact)))
-    band_peak = float(band_trace.concurrences.max())
+    band_conc = concurrences(band_trace.states)
+    band_dev = float(np.max(np.abs(band_conc - band_exact)))
+    band_peak = float(band_conc.max())
     _check(
         1,
         "lossy pair concurrence over 3/4 exchange period: stated rates match the exact "
         "oracle; rates x 2pi meet the 0.97 +/- 0.02 peak band; stated run under 10 s",
         [
             (
-                f"stated rates: program peak={trace.concurrences.max():.6f}, "
+                f"stated rates: program peak={conc.max():.6f}, "
                 f"oracle peak={exact.max():.6f}, max |program - oracle| over "
                 f"{len(trace.times)} recorded times={dev:.2e} <= {ORACLE_ATOL:.0e}",
                 dev <= ORACLE_ATOL,
@@ -231,14 +233,14 @@ def test_criterion_04_swap_oracle_equivalence():
 def test_criterion_05_werner_closure():
     closure_worst = 0.0
     for n in range(1, 5):
-        state = exact_chain_state(0.94, 1.0, n)
+        state = exact_chain_state(werner_state(0.94).matrix, 1.0, n)
         closure_worst = max(
             closure_worst, float(np.max(np.abs(state.matrix - werner_state(0.94**n).matrix)))
         )
     nm = NoiseModel()
     analytic_worst = 0.0
     for hops in range(1, 5):
-        state = exact_chain_state(nm.p_link, nm.q_swap, hops)
+        state = exact_chain_state(werner_state(nm.p_link).matrix, nm.q_swap, hops)
         fid, conc = network.chain_fidelity(hops, nm)
         analytic_worst = max(
             analytic_worst,

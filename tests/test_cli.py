@@ -15,6 +15,7 @@ from magrep import dynamics, excitation, network
 from magrep.cli import MAX_CSV_ROWS, _fmt, _sweep_run, cmd_pair, exit_code_for, main
 from magrep.config import COMMAND_KEYS, KEYS, ConfigError, RunConfig
 from magrep.dynamics import IntegrationError
+from magrep.qcore import concurrences
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -61,7 +62,7 @@ class TestPairCommand:
         n_q = dynamics.pair_steps(p)
         trace = dynamics.evolve(dynamics.initial_pair_state(p), p, 3 * t_q, dt=t_q / n_q)
         assert len(trace.times) == len(rows) == 3 * n_q + 1
-        assert data[:, 1].max() == pytest.approx(trace.concurrences.max(), abs=1e-9)
+        assert data[:, 1].max() == pytest.approx(concurrences(trace.states).max(), abs=1e-9)
 
     def test_dm_schema(self, pair_dir):
         header, rows = read_csv(pair_dir / "pair_dm.csv")

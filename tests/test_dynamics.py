@@ -30,7 +30,7 @@ from magrep.dynamics import (
     _segments,
 )
 from magrep.qcore import basis_ket, concurrences, fidelity
-from conftest import ginibre_matrix, single_excitation_block
+from conftest import ginibre_matrix, single_excitation_block, states_close
 
 def ideal_params(**overrides) -> LindbladParams:
     return LindbladParams(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0, **overrides)
@@ -183,19 +183,11 @@ class TestEvolve:
         trace = evolve(initial_pair_state(p), p, pair_generation_time(p))
         assert fidelity(trace.final_state, target_pair_state(p)) >= 0.999
 
-    def test_ideal_trace_concurrence_matches_x_state_closed_form(self, monkeypatch):
+    def test_ideal_trace_concurrence_matches_x_state_closed_form(self):
         # the states of `magrep pair --ideal`; for an X state
         # C = 2 max(0, |rho_14| - sqrt(rho_22 rho_33), |rho_23| - sqrt(rho_11 rho_44))
-        recorded = []
-
-        def capture(states):
-            recorded.append(states.copy())
-            return concurrences(states)
-
-        monkeypatch.setattr(dynamics, "concurrences", capture)
         p = LindbladParams().without_dissipation()
-        trace = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc))
-        (states,) = recorded
+        states = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc)).states
         assert len(states) == 473
         assert np.max(np.abs(states[:, [0, 0, 1, 2], [1, 2, 3, 3]])) <= 1e-15
         pops = states.diagonal(axis1=1, axis2=2).real
@@ -204,13 +196,13 @@ class TestEvolve:
             np.abs(states[:, 0, 3]) - np.sqrt(pops[:, 1] * pops[:, 2]),
             np.abs(states[:, 1, 2]) - np.sqrt(pops[:, 0] * pops[:, 3]),
         ])
-        assert np.max(np.abs(trace.concurrences - expected)) <= 1e-12
+        assert np.max(np.abs(concurrences(states) - expected)) <= 1e-12
 
     def test_zero_generator_keeps_state_constant(self):
         p = ideal_params(g_mc=0.0)
         rho0 = initial_pair_state(p)
         trace = evolve(rho0, p, 1e-8, dt=1e-10)
-        assert trace.final_state.isclose(rho0, atol=1e-12)
+        assert states_close(trace.final_state, rho0, atol=1e-12)
 
     def test_rabi_return_after_full_period(self):
         p = ideal_params()
@@ -267,8 +259,9 @@ class TestEvolve:
     def test_higher_truncation_drops_concurrence(self):
         p = LindbladParams(dim_c=3, dim_m=3)
         trace = evolve(initial_pair_state(p), p, pair_generation_time(p), record_every=50)
-        assert trace.concurrences is None
         assert trace.populations.shape[1] == 9
+        with pytest.raises(ValueError, match="two-qubit"):
+            concurrences(trace.states)
 
     def test_space_mismatch_rejected(self):
         p = LindbladParams()
@@ -386,7 +379,7 @@ class TestPropagationCore:
         with pytest.raises(IntegrationError, match="positive semidefinite: min eigenvalue -5.000e-08"):
             _check_records(states, times)
         trace = dynamics.EvolutionTrace(
-            space=node_space(p), times=times, states=states, concurrences=None,
+            space=node_space(p), times=times, states=states,
             trace_errors=np.zeros(1), herm_errors=np.zeros(1), min_eigenvalues=np.array([-5e-8]),
         )
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -435,7 +428,7 @@ class TestGenerateBellPair:
     def test_peak_sits_at_quarter_period(self):
         p = LindbladParams()
         trace = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc))
-        t_star = trace.times[int(np.argmax(trace.concurrences))]
+        t_star = trace.times[int(np.argmax(concurrences(trace.states)))]
         assert t_star == pytest.approx(pair_generation_time(p), rel=0.05)
 
     def test_unknown_hamiltonian_choice(self):

@@ -10,6 +10,7 @@ from magrep.cli import _fmt, cmd_pair, main
 from magrep.config import RunConfig
 from magrep.dynamics import IntegrationError, LindbladParams
 from magrep.params import TWO_PI
+from magrep.qcore import concurrences
 
 LABELS = ["00", "01", "10", "11"]
 
@@ -91,7 +92,7 @@ def test_every_record_matches_evolve_on_the_same_grid(tmp_path, monkeypatch, con
     assert np.max(np.abs(np.array(block.times) - full.times)) <= 1e-12 * t_final
     states = np.array([block.state(k) for k in range(len(block.times))])
     assert np.max(np.abs(states - full.states)) <= 1e-12
-    assert np.max(np.abs(np.array(block.concurrences) - full.concurrences)) <= 1e-12
+    assert np.max(np.abs(np.array(block.concurrences) - concurrences(full.states))) <= 1e-12
 
 
 def test_unstable_step_fails_at_the_record_evolve_names(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """Link budgets, multiplexing arithmetic and chain fidelity analytics."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magrep import network
-from magrep.dynamics import LindbladParams
+from magrep.dynamics import LindbladParams, generate_bell_pair
 from magrep.network import (
     BUILTIN_SCENARIOS,
     USABLE_FIDELITY_THRESHOLD,
@@ -20,8 +21,15 @@ from magrep.network import (
     link_efficiency,
     simulate_chain,
 )
-from magrep.qcore import bell_state, concurrence, fidelity
-from conftest import exact_chain_state
+from magrep.qcore import (
+    BELL_LABELS,
+    DensityMatrix,
+    bell_state,
+    concurrence,
+    fidelity,
+    werner_state,
+)
+from conftest import exact_chain_state, ginibre_matrix
 
 
 class TestScenarioTable:
@@ -197,7 +205,7 @@ class TestChainFidelity:
         nm = NoiseModel()
         singlet = bell_state("psi_minus")
         for hops in range(1, 5):
-            state = exact_chain_state(nm.p_link, nm.q_swap, hops)
+            state = exact_chain_state(werner_state(nm.p_link).matrix, nm.q_swap, hops)
             fid, conc = chain_fidelity(hops, nm)
             assert fidelity(state, singlet) == pytest.approx(fid, abs=1e-9)
             assert concurrence(state) == pytest.approx(conc, abs=1e-9)
@@ -206,6 +214,85 @@ class TestChainFidelity:
         nm = NoiseModel()
         fids = [chain_fidelity(h, nm)[0] for h in range(1, 9)]
         assert all(a >= b for a, b in zip(fids, fids[1:]))
+
+
+@pytest.fixture(scope="module")
+def node_link() -> np.ndarray:
+    """The node's own 2x2 pair at the default rates, in the singlet frame.
+
+    diag(1, -i) on the magnon takes the target (|0_m 1_c> - i |1_m 0_c>)/sqrt(2)
+    to the singlet; a local unitary changes neither fidelity nor entanglement.
+    """
+    u = np.kron(np.diag([1.0, -1j]), np.eye(2))
+    return u @ generate_bell_pair(LindbladParams())[0].matrix @ u.conj().T
+
+
+def _x_state(m) -> tuple:
+    """An X state as (rho_00, rho_11, rho_22, rho_33, rho_12, rho_03) in plain Python."""
+    return (*(float(m[k][k].real) for k in range(4)), complex(m[1][2]), complex(m[0][3]))
+
+
+def _x_swap(a: tuple, b: tuple, herald: str) -> tuple:
+    """Exact corrected bsm of two X states; ψ and φ heralds pair the inner qubits differently."""
+    a0, a1, a2, a3, xa, ya = a
+    b0, b1, b2, b3, xb, yb = b
+    if herald.startswith("psi"):
+        pops = (a0 * b2 + a1 * b0, a0 * b3 + a1 * b1, a2 * b2 + a3 * b0, a2 * b3 + a3 * b1)
+        x, y = xa * xb + ya * yb.conjugate(), xa * yb + ya * xb.conjugate()
+    else:
+        pops = (a0 * b1 + a1 * b3, a0 * b0 + a1 * b2, a2 * b1 + a3 * b3, a2 * b0 + a3 * b2)
+        x, y = xa * xb.conjugate() + ya * yb, xa * yb.conjugate() + ya * xb
+    norm = sum(pops)
+    return (*(v / norm for v in pops), -x / norm, -y / norm)
+
+
+def _x_depolarize(s: tuple, q: float) -> tuple:
+    return (*(q * v + (1.0 - q) / 4.0 for v in s[:4]), q * s[4], q * s[5])
+
+
+class TestWernerClosureOnNodeLinks:
+    """The chain model treats every link as Werner; the node's links are not.
+
+    X states (four populations, the 01/10 and 00/11 coherences) stay X states
+    under the corrected bsm and under depolarize, so the exact chain needs
+    only that recurrence. On the node's link it shows the closure's gap.
+    """
+
+    @pytest.mark.parametrize("herald", BELL_LABELS)
+    def test_x_state_recurrence_matches_pipeline(self, node_link, rng, herald):
+        # The node's link has no 00/11 coherence; the X part of a random state
+        # (a direct sum of two principal 2x2 blocks, so still a state) has one.
+        x_pattern = np.eye(4) + np.fliplr(np.eye(4))
+        q = NoiseModel().q_swap
+        for link in (node_link, x_pattern * ginibre_matrix(rng, 4)):
+            s = start = _x_state(link)
+            for _ in range(7):
+                s = _x_depolarize(_x_swap(s, start, herald), q)
+            expected = np.diag(np.array(s[:4], dtype=complex))
+            expected[1, 2], expected[0, 3] = s[4], s[5]
+            expected += np.triu(expected, 1).conj().T
+            got = exact_chain_state(link, q, 8, herald).matrix
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+    # Gap between the exact fidelity of h fused node links (no swap noise)
+    # and the Werner closure (3 p^h + 1)/4, with p fitted to the one-link
+    # fidelity. Halving the step moves each gap by < 1e-8 of itself and the
+    # full Hamiltonian in place of the RWA by 2e-4, while rates x3 move the
+    # 8-hop gap 7x (about rate^1.8). A 1 % band keeps the first two and
+    # rejects a sign flip, a closure that became exact, or node rates off by
+    # more than about 0.6 %.
+    @pytest.mark.parametrize("herald, hops, gap", [
+        ("psi_minus", 2, 1.81e-5),
+        ("phi_plus", 2, -1.11e-5),
+        ("psi_minus", 8, 4.69e-4),
+        ("phi_plus", 8, 2.85e-4),
+    ])
+    def test_closure_gap_at_default_rates(self, node_link, herald, hops, gap):
+        singlet = bell_state("psi_minus")
+        p = (4.0 * fidelity(DensityMatrix(singlet.space, node_link), singlet) - 1.0) / 3.0
+        state = exact_chain_state(node_link, 1.0, hops, herald)
+        exact = fidelity(state, bell_state("psi_minus", state.space.labels))
+        assert exact - (3.0 * p**hops + 1.0) / 4.0 == pytest.approx(gap, rel=0.01)
 
 
 class TestCumulativeSuccess:

@@ -11,6 +11,7 @@ from magrep.network import BUILTIN_SCENARIOS, HopRecord, NoiseModel
 from magrep.params import LindbladParams
 from magrep.qcore import DensityMatrix, HilbertSpec, qubit_space, werner_state
 from magrep.swap import SwapResult, bsm
+from conftest import states_close
 
 
 def test_positional_and_keyword_arguments_follow_field_order_and_defaults():
@@ -78,7 +79,7 @@ def test_density_matrix_and_swap_values_compare_by_identity():
     same = DensityMatrix(rho.space, rho.matrix)
     assert rho == rho and rho != same
     assert len({rho, same}) == 2
-    assert same.isclose(rho)
+    assert states_close(same, rho)
     joint = DensityMatrix(qubit_space("a", "b", "c", "d"), np.kron(rho.matrix, rho.matrix))
     assert bsm(joint, "b", "c", outcome="psi_minus") != bsm(joint, "b", "c", outcome="psi_minus")
 
@@ -90,5 +91,5 @@ def test_repr_lists_fields_and_omits_the_trace_arrays():
     trace = evolve(initial_pair_state(p), p, 1e-9, dt=2.5e-10)
     text = repr(trace)
     assert text.startswith("EvolutionTrace(space=HilbertSpec(subsystems=(('m', 2), ('c', 2)))")
-    assert "times=" in text and "concurrences=" in text
+    assert "times=" in text
     assert "states" not in text and "min_eigenvalues" not in text

@@ -16,24 +16,19 @@ from magrep.qcore import (
     concurrences,
     embed,
     fidelity,
-    matrices_equal,
     partial_trace,
     qubit_space,
     tensor_product,
     werner_state,
     _psd_factor,
 )
-from conftest import concurrence_oracle, ginibre_matrix, random_two_qubit
-
-
-class TestMatricesEqual:
-    def test_default_tolerance_is_1e10(self):
-        a = np.eye(2, dtype=complex)
-        assert matrices_equal(a, a + 5e-11)
-        assert not matrices_equal(a, a + 5e-10)
-
-    def test_shape_mismatch_is_unequal(self):
-        assert not matrices_equal(np.eye(2), np.eye(3))
+from conftest import (
+    concurrence_oracle,
+    ginibre_matrix,
+    matrices_equal,
+    random_two_qubit,
+    states_close,
+)
 
 
 class TestHilbertSpec:
@@ -255,7 +250,7 @@ class TestBellAndWerner:
             bell_state("sigma_minus")
 
     def test_werner_limits(self):
-        assert werner_state(1.0).isclose(bell_state("psi_minus"))
+        assert states_close(werner_state(1.0), bell_state("psi_minus"))
         assert matrices_equal(werner_state(0.0).matrix, np.eye(4) / 4, atol=1e-12)
 
     def test_werner_range_error(self):

@@ -11,7 +11,6 @@ from magrep.qcore import (
     DensityMatrix,
     bell_state,
     fidelity,
-    matrices_equal,
     qubit_space,
     tensor_product,
     werner_state,
@@ -26,7 +25,14 @@ from magrep.swap import (
     node_swap_gate,
     swap_time,
 )
-from conftest import brute_force_bsm, exact_chain_state, ginibre_matrix, random_four_qubit
+from conftest import (
+    brute_force_bsm,
+    exact_chain_state,
+    ginibre_matrix,
+    matrices_equal,
+    random_four_qubit,
+    states_close,
+)
 
 
 def two_singlets() -> DensityMatrix:
@@ -193,7 +199,7 @@ class TestBSM:
 
     def test_werner_closure_chain(self):
         for n in range(1, 5):
-            state = exact_chain_state(0.94, 1.0, n)
+            state = exact_chain_state(werner_state(0.94).matrix, 1.0, n)
             expected = werner_state(0.94**n)
             assert np.max(np.abs(state.matrix - expected.matrix)) <= 1e-9
 
@@ -258,7 +264,7 @@ class TestNodeSwapGate:
 class TestDepolarize:
     def test_full_retention(self, rng):
         rho = DensityMatrix(qubit_space("a", "b"), ginibre_matrix(rng, 4))
-        assert depolarize(rho, 1.0).isclose(rho, atol=1e-15)
+        assert states_close(depolarize(rho, 1.0), rho, atol=1e-15)
 
     def test_zero_retention(self, rng):
         rho = DensityMatrix(qubit_space("a", "b"), ginibre_matrix(rng, 4))
