@@ -5,7 +5,7 @@ lines. Every tolerance is pinned here; nothing is tuned at runtime.
 
 Criteria 01 and 02 check the lossy pair twice. At the stated rates the program
 must match the exact single-excitation solution (``single_excitation_block``
-in conftest) to ``ORACLE_ATOL``. The external figure bands (peak concurrence
+in helpers) to ``ORACLE_ATOL``. The external figure bands (peak concurrence
 0.97 +/- 0.02, snapshot populations in [0.46, 0.50], coherence 0.47 +/- 0.02)
 do not hold for the stated rates; they are applied to the same model with all
 four rates times 2 pi, the reading the README gives, and that run must match
@@ -22,10 +22,11 @@ from magrep.config import parse_config_text, scenario_to_config
 from magrep.dynamics import LindbladParams
 from magrep.network import BUILTIN_SCENARIOS, NoiseModel
 from magrep.qcore import bell_state, concurrences, fidelity, tensor_product, werner_state
-from conftest import (
+from helpers import (
     brute_force_bsm,
     exact_chain_state,
     ginibre_matrix,
+    pair_target,
     single_excitation_block,
 )
 
@@ -185,7 +186,7 @@ def test_criterion_03_ideal_limit_exactness(fig_params):
     p = fig_params.without_dissipation()
     t = dynamics.pair_generation_time(p)
     trace = dynamics.evolve(dynamics.initial_pair_state(p), p, t, record_every=10)
-    fid = fidelity(trace.final_state, dynamics.target_pair_state(p))
+    fid = fidelity(trace.final_state, pair_target(p))
     excitation = trace.populations @ np.array([0.0, 1.0, 1.0, 2.0])
     drift = float(np.max(np.abs(excitation - excitation[0])))
     _check(
@@ -335,7 +336,7 @@ def test_criterion_10_numerical_hygiene(fig_params, generation_run):
 
     t = dynamics.pair_generation_time(fig_params)
     dt = dynamics.default_step(fig_params, "rwa")
-    target = dynamics.target_pair_state(fig_params)
+    target = pair_target(fig_params)
     f_coarse = fidelity(
         dynamics.evolve(dynamics.initial_pair_state(fig_params), fig_params, t, dt=dt).final_state,
         target,

@@ -20,7 +20,7 @@ from magrep.dynamics import (
     node_space,
     pair_generation_time,
     rk4_step_matrix,
-    target_pair_state,
+    target_pair_ket,
     _check_records,
     _dense_cost,
     _liouvillian,
@@ -30,7 +30,7 @@ from magrep.dynamics import (
     _segments,
 )
 from magrep.qcore import basis_ket, concurrences, fidelity
-from conftest import ginibre_matrix, single_excitation_block, states_close
+from helpers import ginibre_matrix, pair_target, single_excitation_block, states_close
 
 def ideal_params(**overrides) -> LindbladParams:
     return LindbladParams(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0, **overrides)
@@ -181,7 +181,7 @@ class TestEvolve:
     def test_ideal_quarter_period_hits_target(self):
         p = ideal_params()
         trace = evolve(initial_pair_state(p), p, pair_generation_time(p))
-        assert fidelity(trace.final_state, target_pair_state(p)) >= 0.999
+        assert fidelity(trace.final_state, pair_target(p)) >= 0.999
 
     def test_ideal_trace_concurrence_matches_x_state_closed_form(self):
         # the states of `magrep pair --ideal`; for an X state
@@ -229,7 +229,7 @@ class TestEvolve:
         p = LindbladParams()
         t = pair_generation_time(p)
         dt = default_step(p, "rwa")
-        target = target_pair_state(p)
+        target = pair_target(p)
         f1 = fidelity(evolve(initial_pair_state(p), p, t, dt=dt).final_state, target)
         f2 = fidelity(evolve(initial_pair_state(p), p, t, dt=dt / 2).final_state, target)
         assert abs(f1 - f2) < 1e-6
@@ -386,6 +386,53 @@ class TestPropagationCore:
             trace.final_state
 
 
+def _one_pass_margins(states: np.ndarray):
+    """The record margins of the whole stack in one batched pass, as evolve once took them."""
+    adjoint = states.conj().swapaxes(1, 2)
+    return (np.abs(np.trace(states, axis1=1, axis2=2) - 1.0),
+            np.max(np.abs(states - adjoint), axis=(1, 2)),
+            np.linalg.eigvalsh(0.5 * (states + adjoint))[:, 0])
+
+
+class TestRecordChecksInBlocks:
+    # A 5x5 record is 10,000 bytes, so _CHECK_BLOCK_BYTES holds 13 of them.
+    PER_BLOCK = dynamics._CHECK_BLOCK_BYTES // (25 * 25 * 16)
+
+    def mixed_stack(self, n: int):
+        states = np.array([np.eye(25, dtype=complex) / 25] * n)
+        return states, np.arange(n) * 1e-9
+
+    def test_margins_equal_one_batched_pass_bit_for_bit(self):
+        p = LindbladParams(dim_c=5, dim_m=5)
+        trace = evolve(initial_pair_state(p), p, pair_generation_time(p), record_every=2)
+        assert self.PER_BLOCK == 13 and len(trace.states) % self.PER_BLOCK != 0
+        margins = _check_records(trace.states, trace.times)
+        expected = _one_pass_margins(trace.states)
+        for got, want, stored in zip(margins, expected, (
+                trace.trace_errors, trace.herm_errors, trace.min_eigenvalues)):
+            assert got.tobytes() == want.tobytes() == stored.tobytes()
+
+    def test_earliest_failure_across_blocks_raises(self):
+        states, times = self.mixed_stack(3 * self.PER_BLOCK)
+        states[2 * self.PER_BLOCK + 1, 0, 1] = np.nan
+        earlier = self.PER_BLOCK + 4
+        states[earlier, 3, 3], states[earlier, 4, 4] = -1e-3, 0.08 + 1e-3
+        with pytest.raises(IntegrationError,
+                           match=f"min eigenvalue -1.000e-03 at t={times[earlier]:.3e} s"):
+            _check_records(states, times)
+        states[5, 0, 1] = 1e-6
+        with pytest.raises(IntegrationError, match="not Hermitian: max deviation 1.000e-06 at t=5.000e-09 s"):
+            _check_records(states, times)
+
+    @pytest.mark.parametrize("entry, magnitude", [(np.nan, "nan"), (np.inf, "inf")])
+    def test_non_finite_record_in_a_later_block(self, entry, magnitude):
+        states, times = self.mixed_stack(2 * self.PER_BLOCK + 3)
+        states[-1, 2, 4] = entry
+        with pytest.raises(IntegrationError, match=(
+                f"non-finite state entry, largest magnitude {magnitude} at t={times[-1]:.3e} s")):
+            _check_records(states, times)
+
+
 class TestGenerateBellPair:
     def test_ideal_limit(self):
         _, fid = generate_bell_pair(ideal_params())
@@ -430,6 +477,14 @@ class TestGenerateBellPair:
         trace = evolve(initial_pair_state(p), p, 3 * math.pi / (4 * p.g_mc))
         t_star = trace.times[int(np.argmax(concurrences(trace.states)))]
         assert t_star == pytest.approx(pair_generation_time(p), rel=0.05)
+
+    @pytest.mark.parametrize("hamiltonian, dim", [("rwa", 2), ("rwa", 4), ("full", 3)])
+    def test_fidelity_is_the_overlap_with_the_pure_target(self, hamiltonian, dim):
+        p = LindbladParams(dim_c=dim, dim_m=dim)
+        state, fid = generate_bell_pair(p, hamiltonian=hamiltonian)
+        ket = target_pair_ket(p)
+        assert fid == float(np.real(ket.conj() @ state.matrix @ ket))
+        assert fid == pytest.approx(fidelity(state, pair_target(p)), abs=1e-12)
 
     def test_unknown_hamiltonian_choice(self):
         with pytest.raises(ValueError, match="rwa"):

@@ -29,7 +29,7 @@ from magrep.qcore import (
     fidelity,
     werner_state,
 )
-from conftest import exact_chain_state, ginibre_matrix
+from helpers import exact_chain_state, ginibre_matrix
 
 
 class TestScenarioTable:

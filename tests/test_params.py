@@ -11,7 +11,7 @@ from magrep.network import BUILTIN_SCENARIOS, HopRecord, NoiseModel
 from magrep.params import LindbladParams
 from magrep.qcore import DensityMatrix, HilbertSpec, qubit_space, werner_state
 from magrep.swap import SwapResult, bsm
-from conftest import states_close
+from helpers import states_close
 
 
 def test_positional_and_keyword_arguments_follow_field_order_and_defaults():

@@ -22,7 +22,7 @@ from magrep.qcore import (
     werner_state,
     _psd_factor,
 )
-from conftest import (
+from helpers import (
     concurrence_oracle,
     ginibre_matrix,
     matrices_equal,

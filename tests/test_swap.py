@@ -25,7 +25,7 @@ from magrep.swap import (
     node_swap_gate,
     swap_time,
 )
-from conftest import (
+from helpers import (
     brute_force_bsm,
     exact_chain_state,
     ginibre_matrix,
