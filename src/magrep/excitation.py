@@ -45,8 +45,11 @@ def check_hamiltonian(p: LindbladParams, name: str) -> None:
 def whole_steps(span: float, dt: float) -> int:
     """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1.
 
-    A ``span / dt`` beyond the largest float has no step count: ``ValueError``.
+    A ``dt <= 0``, or a ``span / dt`` beyond the largest float, has no step
+    count: ``ValueError``.
     """
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     ratio = span / dt
     if not math.isfinite(ratio):
         raise ValueError(f"span / dt = {span!r} / {dt!r} is not a finite number of steps")
@@ -175,8 +178,10 @@ def integrate_pair(p: LindbladParams, t_final: float, n_steps: int) -> BlockTrac
     Every record is checked: entries finite, trace within 1e-6 of 1,
     Hermitian within 1e-9 and eigenvalues >= -1e-9. The earliest failure
     raises :class:`IntegrationError` naming the check, the value and the
-    time; no state is renormalized.
+    time; no state is renormalized. ``t_final`` must be finite and > 0.
     """
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     dt = t_final / n_steps

@@ -45,6 +45,10 @@ class HilbertSpec(Value):
 
     ``subsystems`` is a sequence of ``(label, dimension)`` pairs; labels must
     be unique and every dimension must be an integer (not a bool) of at least 2.
+    The total ``dim`` is computed once, at construction, with ``math.prod``;
+    ``labels`` and ``dims`` are read from ``subsystems``. All three are
+    read-only and not fields: a spec compares, hashes, prints and is replaced
+    by its ``subsystems`` alone.
     """
 
     subsystems: tuple[tuple[str, int], ...]
@@ -59,7 +63,8 @@ class HilbertSpec(Value):
         for lbl, d in subs:
             if isinstance(d, bool) or not isinstance(d, Integral) or d < 2:
                 raise ValueError(f"subsystem {lbl!r} needs an integer dimension >= 2, got {d!r}")
-        object.__setattr__(self, "subsystems", tuple((lbl, int(d)) for lbl, d in subs))
+        subs = tuple((lbl, int(d)) for lbl, d in subs)
+        self.__dict__.update(subsystems=subs, dim=math.prod(d for _, d in subs))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -68,10 +73,6 @@ class HilbertSpec(Value):
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.dims))
 
     def index(self, label: str) -> int:
         """Position of a labeled subsystem; unknown labels are an error."""
@@ -165,9 +166,8 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     for ax in sorted(drop, reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + k)
         k -= 1
-    kept_subs = tuple(space.subsystems[i] for i in keep_pos)
-    d_keep = int(np.prod([d for _, d in kept_subs]))
-    return DensityMatrix(HilbertSpec(kept_subs), t.reshape(d_keep, d_keep))
+    kept = HilbertSpec(tuple(space.subsystems[i] for i in keep_pos))
+    return DensityMatrix(kept, t.reshape(kept.dim, kept.dim))
 
 
 def embed(op: np.ndarray, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:
@@ -181,11 +181,11 @@ def embed(op: np.ndarray, space: HilbertSpec, labels: Sequence[str]) -> np.ndarr
     pos = [space.index(lbl) for lbl in labels]
     if len(set(pos)) != len(pos):
         raise ValueError(f"duplicate labels in embed: {list(labels)}")
-    d_sel = int(np.prod([dims[i] for i in pos]))
+    d_sel = math.prod(dims[i] for i in pos)
     if op.shape != (d_sel, d_sel):
         raise ValueError(f"operator shape {op.shape} does not match selected dimension {d_sel}")
     rest = [i for i in range(n) if i not in pos]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_rest = math.prod(dims[i] for i in rest)
     big = np.kron(op, np.eye(d_rest, dtype=complex))
     perm = pos + rest
     pdims = [dims[i] for i in perm]

@@ -1,4 +1,5 @@
 """The pair run on the single-excitation block against the full master equation."""
+import math
 import random
 import re
 
@@ -152,6 +153,38 @@ def test_step_count_beyond_the_largest_float_is_a_value_error():
         excitation.pair_steps(p, dt=1e-319)
     with pytest.raises(ValueError, match="not a finite number of steps"):
         dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-319)
+
+
+@pytest.mark.parametrize("dt", [-1e-9, -math.inf, 0.0])
+def test_non_positive_step_is_a_value_error(dt):
+    # unchecked, a negative dt runs one step over t_q (fidelity 0.95674) and 0 divides by zero
+    p = LindbladParams()
+    message = re.escape(f"dt must be > 0, got {dt}")
+    with pytest.raises(ValueError, match=message):
+        excitation.whole_steps(1e-9, dt)
+    with pytest.raises(ValueError, match=message):
+        dynamics.generate_bell_pair(p, dt=dt)
+    with pytest.raises(ValueError, match=message):
+        dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=dt)
+
+
+@pytest.mark.parametrize("t_final", [-1e-9, 0.0, math.inf, math.nan])
+def test_pair_run_refuses_a_span_that_is_not_finite_and_positive(t_final):
+    # unchecked, -1e-9 fails as an IntegrationError (positivity) and 0 records one state n + 1 times
+    with pytest.raises(ValueError, match=re.escape(f"t_final must be finite and > 0, got {t_final}")):
+        excitation.integrate_pair(LindbladParams(), t_final, 158)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("name", ["defaults", "random1"])
+def test_last_block_record_is_the_node_scan_pair_state(name, dim):
+    """generate_bell_pair's RWA state, at the node-scan truncations, is the scattered block run."""
+    p = PARAMS[name].replace(dim_c=dim, dim_m=dim)
+    block = excitation.integrate_pair(p, excitation.pair_generation_time(p), excitation.pair_steps(p))
+    scattered = np.zeros(dim ** 4, dtype=complex)
+    scattered[_block_index(dim)] = block.records[-1]
+    state, _ = dynamics.generate_bell_pair(p, "rwa")
+    assert np.max(np.abs(scattered.reshape(dim * dim, dim * dim) - state.matrix)) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["Full", "exact", "RWA"])

@@ -54,6 +54,36 @@ class TestHilbertSpec:
         with pytest.raises(ValueError, match="unknown subsystem"):
             qubit_space("a", "b").index("c")
 
+    @given(subsystems=st.lists(st.tuples(st.text(min_size=1, max_size=3), st.integers(2, 6)),
+                               min_size=1, max_size=5, unique_by=lambda sub: sub[0]))
+    @settings(max_examples=50, deadline=None)
+    def test_shape_is_derived_from_subsystems(self, subsystems):
+        spec = HilbertSpec(subsystems)
+        assert spec.labels == tuple(lbl for lbl, _ in subsystems)
+        assert spec.dims == tuple(d for _, d in subsystems)
+        assert spec.dim == int(np.prod(spec.dims))
+        assert [spec.index(lbl) for lbl in spec.labels] == list(range(len(subsystems)))
+
+    @pytest.mark.parametrize("name", ["labels", "dims", "dim"])
+    def test_shape_attributes_are_read_only(self, name):
+        spec = HilbertSpec((("a", 2), ("b", 3)))
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+        assert (spec.labels, spec.dims, spec.dim) == (("a", "b"), (2, 3), 6)
+
+    def test_spec_is_its_subsystems(self):
+        spec = HilbertSpec((("a", 2), ("b", 3)))
+        same = HilbertSpec([["a", np.int64(2)], ("b", 3)])
+        assert spec == same and hash(spec) == hash(same)
+        assert spec != HilbertSpec((("b", 3), ("a", 2)))
+        assert repr(spec) == "HilbertSpec(subsystems=(('a', 2), ('b', 3)))"
+
+    def test_replace_recomputes_the_shape(self):
+        spec = HilbertSpec((("a", 2), ("b", 3))).replace(subsystems=(("c", 4), ("d", 5), ("e", 2)))
+        assert (spec.labels, spec.dims, spec.dim) == (("c", "d", "e"), (4, 5, 2), 40)
+
 
 class TestDensityMatrix:
     def test_non_hermitian_rejected(self):
