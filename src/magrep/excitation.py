@@ -45,11 +45,14 @@ def check_hamiltonian(p: LindbladParams, name: str) -> None:
 def whole_steps(span: float, dt: float) -> int:
     """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1.
 
-    A ``dt <= 0``, or a ``span / dt`` beyond the largest float, has no step
-    count: ``ValueError``.
+    A ``dt <= 0``, a ``span <= 0``, or a ``span / dt`` that is not a finite
+    float (a NaN span, or one beyond the largest float) has no step count:
+    ``ValueError``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if span <= 0:
+        raise ValueError(f"span must be > 0, got {span}")
     ratio = span / dt
     if not math.isfinite(ratio):
         raise ValueError(f"span / dt = {span!r} / {dt!r} is not a finite number of steps")

@@ -149,25 +149,35 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(space, np.kron(a.matrix, b.matrix))
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Reduced state on the kept subsystems, in their original order."""
+def _trace_out(
+    matrix: np.ndarray, space: HilbertSpec, keep: Iterable[str]
+) -> tuple[HilbertSpec, np.ndarray]:
+    """Kept space and reduced array of ``matrix`` on ``space``, unchecked.
+
+    The kept subsystems stay in their original order. Duplicate, empty or
+    unknown ``keep`` labels are a ``ValueError``.
+    """
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate labels in keep list: {keep}")
     if not keep:
         raise ValueError("must keep at least one subsystem")
-    space = rho.space
     keep_pos = sorted(space.index(lbl) for lbl in keep)
     dims = space.dims
     n = len(dims)
     drop = [i for i in range(n) if i not in keep_pos]
-    t = rho.matrix.reshape(dims + dims)
+    t = matrix.reshape(dims + dims)
     k = n
     for ax in sorted(drop, reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + k)
         k -= 1
     kept = HilbertSpec(tuple(space.subsystems[i] for i in keep_pos))
-    return DensityMatrix(kept, t.reshape(kept.dim, kept.dim))
+    return kept, t.reshape(kept.dim, kept.dim)
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
+    """Reduced state on the kept subsystems, in their original order, as a checked state."""
+    return DensityMatrix(*_trace_out(rho.matrix, rho.space, keep))
 
 
 def embed(op: np.ndarray, space: HilbertSpec, labels: Sequence[str]) -> np.ndarray:

@@ -19,9 +19,9 @@ from .qcore import (
     ID2,
     PAULI_X,
     PAULI_Z,
+    _trace_out,
     bell_state,
     embed,
-    partial_trace,
 )
 
 # A heralded outcome below this probability is an empty branch and cannot be selected.
@@ -97,7 +97,9 @@ def bsm(rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str) -> SwapRes
     ``outcome`` is a Bell label whose branch has probability >=
     ``ZERO_BRANCH_TOL``. Only that branch is evaluated. The two surviving
     qubits are renormalized, and the outcome's Pauli correction is applied to
-    the second survivor so every branch lands on the same target pair.
+    the second survivor so every branch lands on the same target pair. The
+    branch passes between these steps as plain arrays; the one state built is
+    the returned ``post_state``, and its construction checks it.
     """
     _require_four_qubits(rho, qubit_a, qubit_b)
     chosen = bell_outcome(outcome)
@@ -105,15 +107,15 @@ def bsm(rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str) -> SwapRes
     prob = float(np.real(np.trace(proj @ rho.matrix)))
     if prob < ZERO_BRANCH_TOL:
         raise ValueError(f"outcome {chosen.label} has probability {prob:.3e}; branch is empty")
-    reduced = proj @ rho.matrix @ proj / prob
+    branch = proj @ rho.matrix @ proj / prob
     keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
-    survivors = partial_trace(DensityMatrix(rho.space, reduced), keep)
+    survivors, reduced = _trace_out(branch, rho.space, keep)
     corr = np.kron(ID2, chosen.correction)
-    fixed = corr @ survivors.matrix @ corr.conj().T
+    fixed = corr @ reduced @ corr.conj().T
     return SwapResult(
         outcome=chosen,
         probability=prob,
-        post_state=DensityMatrix(survivors.space, fixed),
+        post_state=DensityMatrix(survivors, fixed),
     )
 
 

@@ -178,3 +178,23 @@ def exact_chain_state(
         result = swap.bsm(joint, left.space.labels[1], f"a{j}", outcome=herald)
         left = swap.depolarize(result.post_state, q_swap)
     return left
+
+
+def checked_bsm_reference(
+    rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str
+) -> tuple[float, DensityMatrix]:
+    """``swap.bsm``'s branch with every intermediate built as a checked state.
+
+    Not an independent oracle: the same projector, probability, projection
+    and correction as ``bsm``, in the same order, but the projected register
+    is a ``DensityMatrix`` reduced by the public ``qcore.partial_trace``. So
+    ``bsm`` must match it bit for bit.
+    """
+    chosen = swap.bell_outcome(outcome)
+    proj = qcore.embed(chosen.projector, rho.space, (qubit_a, qubit_b))
+    prob = float(np.real(np.trace(proj @ rho.matrix)))
+    branch = DensityMatrix(rho.space, proj @ rho.matrix @ proj / prob)
+    keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
+    survivors = qcore.partial_trace(branch, keep)
+    corr = np.kron(qcore.ID2, chosen.correction)
+    return prob, DensityMatrix(survivors.space, corr @ survivors.matrix @ corr.conj().T)

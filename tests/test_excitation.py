@@ -155,6 +155,17 @@ def test_step_count_beyond_the_largest_float_is_a_value_error():
         dynamics.evolve(dynamics.initial_pair_state(p), p, 1e-9, dt=1e-319)
 
 
+@pytest.mark.parametrize("span, message", [
+    (0.0, "span must be > 0, got 0.0"),
+    (-1e-9, "span must be > 0, got -1e-09"),
+    (-math.inf, "span must be > 0, got -inf"),
+    (math.nan, "span / dt = nan / 1e-11 is not a finite number of steps"),
+])
+def test_span_without_a_step_count_is_a_value_error(span, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        excitation.whole_steps(span, 1e-11)
+
+
 @pytest.mark.parametrize("dt", [-1e-9, -math.inf, 0.0])
 def test_non_positive_step_is_a_value_error(dt):
     # unchecked, a negative dt runs one step over t_q (fidelity 0.95674) and 0 divides by zero

@@ -1,4 +1,6 @@
 """Linear algebra primitives, state constructors and the two resource metrics."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,15 @@ class TestPartialTrace:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown subsystem"):
             partial_trace(bell_state("psi_minus"), ["nope"])
+
+    @pytest.mark.parametrize("keep, message", [
+        (["q0", "q0"], "duplicate labels in keep list: ['q0', 'q0']"),
+        ([], "must keep at least one subsystem"),
+        (["nope"], "unknown subsystem label 'nope'; have ('q0', 'q1')"),
+    ], ids=["duplicate", "empty", "unknown"])
+    def test_keep_list_messages(self, keep, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            partial_trace(bell_state("psi_minus"), keep)
 
 
 class TestEmbed:

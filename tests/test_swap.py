@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magrep import swap
 from magrep.qcore import (
     BELL_LABELS,
     DensityMatrix,
@@ -17,6 +18,7 @@ from magrep.qcore import (
 )
 from magrep.swap import (
     BELL_OUTCOMES,
+    BellOutcome,
     beam_splitter_unitary,
     bell_outcome,
     bsm,
@@ -27,6 +29,7 @@ from magrep.swap import (
 )
 from helpers import (
     brute_force_bsm,
+    checked_bsm_reference,
     exact_chain_state,
     ginibre_matrix,
     matrices_equal,
@@ -172,6 +175,42 @@ class TestBSM:
                 assert result.post_state.space.labels == survivors
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
+
+    @pytest.mark.parametrize("pair", [("q1", "q2"), ("q0", "q2"), ("q3", "q1")],
+                             ids=["adjacent", "non-adjacent", "reversed"])
+    def test_bit_identical_to_checked_reference(self, rng, pair):
+        # bsm passes its branch as plain arrays; a path that checks every
+        # intermediate state must give the same bits
+        for _ in range(20):
+            rho = random_four_qubit(rng)
+            for label in BELL_LABELS:
+                result = bsm(rho, *pair, outcome=label)
+                prob, post = checked_bsm_reference(rho, *pair, label)
+                assert result.probability == prob
+                assert result.post_state.space == post.space
+                assert np.array_equal(result.post_state.matrix, post.matrix)
+
+    def test_corrupted_post_state_is_refused(self, monkeypatch):
+        # a correction that is not unitary scales the trace by 4; the returned
+        # state's own check must still catch it
+        good = bell_outcome("psi_plus")
+        bad = BellOutcome(label=good.label, projector=good.projector,
+                          correction=2.0 * good.correction)
+        monkeypatch.setattr(swap, "bell_outcome", lambda label: bad)
+        with pytest.raises(ValueError, match="trace .* deviates from 1"):
+            bsm(two_singlets(), "q1", "q2", outcome="psi_plus")
+
+    def test_complex_correction_is_applied_with_its_adjoint(self, rng, monkeypatch):
+        # the four Pauli corrections are real, so only a complex unitary shows
+        # that bsm conjugates by the correction's adjoint, not its transpose
+        good = bell_outcome("psi_plus")
+        phase = BellOutcome(label=good.label, projector=good.projector,
+                            correction=np.diag([1.0, 1.0j]))
+        monkeypatch.setattr(swap, "bell_outcome", lambda label: phase)
+        rho = random_four_qubit(rng)
+        result = bsm(rho, "q1", "q2", outcome="psi_plus")
+        _, post = checked_bsm_reference(rho, "q1", "q2", "psi_plus")
+        assert np.array_equal(result.post_state.matrix, post.matrix)
 
     @staticmethod
     def all_zeros() -> DensityMatrix:

@@ -2,8 +2,9 @@
 
 Wall time on a shared machine cannot resolve a change of one eigensolve in a
 few milliseconds; these counts can. Each pinned tuple is (DensityMatrix
-checks, ``eigvalsh``, ``eigh``, ``svd``) per operation. A change that removes
-a check or a decomposition lowers them, and updates the pins on purpose. The
+checks, ``eigvalsh``, ``eigh``, ``svd``, ``np.kron``) per operation. A change
+that removes a check, a decomposition or a Kronecker product lowers them, and
+updates the pins on purpose. The
 memory pins are ``tracemalloc`` peaks, which numpy's array allocations report
 to, so they too repeat on every run of one input (the fusion op's, only when
 measured cold; see there).
@@ -19,6 +20,7 @@ import pytest
 from magrep import dynamics, qcore, swap
 
 _SOLVERS = ("eigvalsh", "eigh", "svd")
+_COUNTED = ("checks", *_SOLVERS, "kron")
 
 
 @pytest.fixture
@@ -35,11 +37,12 @@ def work(monkeypatch) -> Counter:
     monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting("checks", check))
     for name in _SOLVERS:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "kron", counting("kron", np.kron))
     return counts
 
 
 def _tally(counts: Counter) -> tuple[int, ...]:
-    tally = tuple(counts[name] for name in ("checks", *_SOLVERS))
+    tally = tuple(counts[name] for name in _COUNTED)
     counts.clear()
     return tally
 
@@ -49,15 +52,19 @@ def _tally(counts: Counter) -> tuple[int, ...]:
 # _CHECK_BLOCK_BYTES; about 65 records of 0.26 and 1.3 KB under the full
 # Hamiltonian fill one. Checks: the initial state and final_state. eigvalsh:
 # those two plus one per block. The fidelity is an overlap with the pure
-# target, so no eigh and no svd.
+# target, so no eigh and no svd. np.kron: the two ladder operators, built once
+# for the Hamiltonian and once for the collapse operators (4); the dense path
+# adds the Liouvillian's two terms and one per collapse operator (6), while
+# RWA 4 and 5 propagate matrix-free and build no Liouvillian.
 RECORD_BLOCKS = {("rwa", 3): 1, ("rwa", 4): 3, ("rwa", 5): 7, ("full", 2): 1, ("full", 3): 1}
+KRON_CALLS = {("rwa", 3): 10, ("rwa", 4): 4, ("rwa", 5): 4, ("full", 2): 10, ("full", 3): 10}
 
 
 @pytest.mark.parametrize("hamiltonian, dim", list(RECORD_BLOCKS))
 def test_generate_bell_pair_work(work, hamiltonian, dim):
     p = dynamics.LindbladParams(dim_c=dim, dim_m=dim)
     dynamics.generate_bell_pair(p, hamiltonian=hamiltonian)
-    assert _tally(work) == (2, 2 + RECORD_BLOCKS[hamiltonian, dim], 0, 0)
+    assert _tally(work) == (2, 2 + RECORD_BLOCKS[hamiltonian, dim], 0, 0, KRON_CALLS[hamiltonian, dim])
 
 
 def _traced_peak(call, cold: bool = False) -> int:
@@ -132,25 +139,26 @@ def _fusion_op(purities, heralds) -> None:
 
 
 # Checks: 8 links and the 9 singlets built for them and for the final
-# fidelity, then per swap the joint register, bsm's projected register, its
-# reduced and corrected states and the depolarized result (7 x 5). eigvalsh:
-# one per check. eigh: fidelity's two factors and concurrence's one. svd: one
-# each for fidelity and concurrence.
+# fidelity, then per swap the joint register, bsm's corrected state and the
+# depolarized result (7 x 3); bsm's projected register and its reduced state
+# are plain arrays. eigvalsh: one per check. eigh: fidelity's two factors and
+# concurrence's one. svd: one each for fidelity and concurrence. np.kron: per
+# swap the tensor_product, the embedded projector and the correction (7 x 3).
 def test_fusion_op_work(work):
     inputs = _fusion_inputs(907)
     for _ in range(3):
         _fusion_op(*next(inputs))
-        assert _tally(work) == (52, 52, 3, 2)
+        assert _tally(work) == (38, 38, 3, 2, 21)
 
 
 # tracemalloc peak of one fusion op (the first seed-907 input), in bytes. Its
 # arrays are 4 KB registers, so Python objects are a large share of it, and
 # how many of them the interpreter's free lists serve depends on what ran
-# before: a warm peak read 46 KB alone and 40 KB inside the full suite. So
+# before: a warm peak read 6 KB less inside the full suite than alone. So
 # each call is measured cold, and the pin is the largest of seven calls; that
-# read 61.0-62.0 KB alone and after other tests. One more 16x16 register held
+# read 53.6-54.2 KB alone and after other tests. One more 16x16 register held
 # at the peak (4 KB, 7 %) falls outside 2 %.
-FUSION_PEAK_BYTES = 61_500
+FUSION_PEAK_BYTES = 53_900
 
 
 def test_fusion_op_traced_peak():
