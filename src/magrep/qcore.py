@@ -40,6 +40,16 @@ _BELL_KETS = {
 }
 
 
+def _bell_projector(ket: np.ndarray) -> np.ndarray:
+    # The arithmetic of DensityMatrix.from_ket, so the table matches it bit for bit.
+    v = ket / np.linalg.norm(ket)
+    return _readonly(np.outer(v, v.conj()))
+
+
+# |B><B| for each Bell label, built once; the one source of Bell projectors.
+_BELL_PROJECTORS = {kind: _bell_projector(ket) for kind, ket in _BELL_KETS.items()}
+
+
 class HilbertSpec(Value):
     """Ordered, labeled tensor-product decomposition of a Hilbert space.
 
@@ -222,24 +232,37 @@ def _psd_factor(m: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
 
 
+def _pair_space(labels: Sequence[str]) -> HilbertSpec:
+    labels = tuple(labels)
+    if len(labels) != 2:
+        raise ValueError(f"a two-qubit state needs exactly two labels, got {labels!r}")
+    return qubit_space(*labels)
+
+
 def bell_state(kind: str, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
     """One of the four maximally entangled two-qubit states.
 
     ``psi_minus`` is the singlet (|01> - |10>)/sqrt(2); the other kinds follow
-    the usual sign conventions.
+    the usual sign conventions. The four projectors are built once, at import;
+    the only check is the construction of the returned state. ``labels`` must
+    be exactly two labels.
     """
-    if kind not in _BELL_KETS:
+    if kind not in _BELL_PROJECTORS:
         raise ValueError(f"unknown Bell state {kind!r}; expected one of {BELL_LABELS}")
-    return DensityMatrix.from_ket(qubit_space(*labels), _BELL_KETS[kind])
+    return DensityMatrix(_pair_space(labels), _BELL_PROJECTORS[kind])
 
 
 def werner_state(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
-    """Singlet mixed with white noise: p |psi-><psi-| + (1-p) I/4."""
+    """Singlet mixed with white noise: p |psi-><psi-| + (1-p) I/4.
+
+    The singlet is the projector built once at import, not a state of its
+    own; the only check is the construction of the returned state. ``labels``
+    must be exactly two labels.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"purity p={p} outside [0, 1]")
-    singlet = bell_state("psi_minus", labels)
-    m = p * singlet.matrix + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
-    return DensityMatrix(singlet.space, m)
+    m = p * _BELL_PROJECTORS["psi_minus"] + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    return DensityMatrix(_pair_space(labels), m)
 
 
 def concurrences(rhos) -> np.ndarray:

@@ -19,8 +19,8 @@ from .qcore import (
     ID2,
     PAULI_X,
     PAULI_Z,
+    _BELL_PROJECTORS,
     _trace_out,
-    bell_state,
     embed,
 )
 
@@ -43,11 +43,10 @@ def _build_outcomes() -> tuple[BellOutcome, ...]:
         "phi_plus": PAULI_Z @ PAULI_X,
         "phi_minus": PAULI_X,
     }
-    out = []
-    for label in BELL_LABELS:
-        proj = bell_state(label).matrix
-        out.append(BellOutcome(label=label, projector=proj, correction=corrections[label]))
-    return tuple(out)
+    return tuple(
+        BellOutcome(label=label, projector=_BELL_PROJECTORS[label], correction=corrections[label])
+        for label in BELL_LABELS
+    )
 
 
 BELL_OUTCOMES: tuple[BellOutcome, ...] = _build_outcomes()

@@ -8,6 +8,8 @@ otherwise answer ``from conftest import ...``.
 """
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from magrep import dynamics, qcore, swap
@@ -198,3 +200,46 @@ def checked_bsm_reference(
     survivors = qcore.partial_trace(branch, keep)
     corr = np.kron(qcore.ID2, chosen.correction)
     return prob, DensityMatrix(survivors.space, corr @ survivors.matrix @ corr.conj().T)
+
+
+def bell_state_from_ket(kind: str, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
+    """``qcore.bell_state`` built through ``DensityMatrix.from_ket`` from the same ket.
+
+    Not an independent oracle: the projector table must repeat ``from_ket``'s
+    arithmetic, so ``bell_state`` must match this bit for bit.
+    """
+    return DensityMatrix.from_ket(qubit_space(*labels), qcore._BELL_KETS[kind])
+
+
+def werner_state_from_ket(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMatrix:
+    """``qcore.werner_state`` mixed from a checked ``from_ket`` singlet, in the same order.
+
+    ``werner_state`` must match this bit for bit.
+    """
+    singlet = bell_state_from_ket("psi_minus", labels)
+    m = p * singlet.matrix + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    return DensityMatrix(singlet.space, m)
+
+
+def fusion_inputs(seed: int):
+    """The swap-fusion benchmark's inputs: 8 link purities and 7 heralds per operation."""
+    rng = random.Random(f"swap-fusion/{seed}")
+    while True:
+        yield ([round(rng.uniform(0.9, 1.0), 6) for _ in range(8)],
+               [rng.choice(qcore.BELL_LABELS) for _ in range(7)])
+
+
+def fusion_op(purities, heralds, werner=qcore.werner_state, bell=qcore.bell_state):
+    """One swap-fusion benchmark operation: 8 Werner links fused in 7 swaps, then scored.
+
+    Returns the fused pair's matrix, its fidelity to the singlet and its
+    concurrence. ``werner`` and ``bell`` build the links and the final singlet.
+    """
+    state = werner(purities[0], ("a0", "b0"))
+    for i, herald in enumerate(heralds, start=1):
+        link = werner(purities[i], (f"a{i}", f"b{i}"))
+        joint = qcore.tensor_product(state, link)
+        fused = swap.bsm(joint, f"b{i - 1}", f"a{i}", outcome=herald).post_state
+        state = swap.depolarize(fused, 0.967)
+    singlet = bell("psi_minus", state.space.labels)
+    return state.matrix, qcore.fidelity(state, singlet), qcore.concurrence(state)

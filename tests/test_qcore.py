@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magrep import qcore
 from magrep.qcore import (
+    BELL_LABELS,
     DensityMatrix,
     HilbertSpec,
     ID2,
@@ -25,11 +27,13 @@ from magrep.qcore import (
     _psd_factor,
 )
 from helpers import (
+    bell_state_from_ket,
     concurrence_oracle,
     ginibre_matrix,
     matrices_equal,
     random_two_qubit,
     states_close,
+    werner_state_from_ket,
 )
 
 
@@ -306,6 +310,38 @@ class TestBellAndWerner:
         for p in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.94, 1.0):
             expected = max(0.0, (3.0 * p - 1.0) / 2.0)
             assert concurrence(werner_state(p)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", BELL_LABELS)
+    def test_bell_state_bit_identical_to_from_ket(self, kind):
+        for labels in (("q0", "q1"), ("a3", "b3")):
+            rho, ref = bell_state(kind, labels), bell_state_from_ket(kind, labels)
+            assert rho.space == ref.space
+            assert np.array_equal(rho.matrix, ref.matrix)
+
+    @pytest.mark.parametrize(
+        "p", [0.0, 1.0 / 3.0, 0.5, 0.94, 1.0, *np.random.default_rng(2501).uniform(0.0, 1.0, 5)]
+    )
+    def test_werner_state_bit_identical_to_from_ket_singlet(self, p):
+        rho, ref = werner_state(p, ("a", "b")), werner_state_from_ket(p, ("a", "b"))
+        assert rho.space == ref.space
+        assert np.array_equal(rho.matrix, ref.matrix)
+
+    def test_projector_table_is_read_only_and_never_returned(self):
+        assert tuple(qcore._BELL_PROJECTORS) == BELL_LABELS
+        for kind, proj in qcore._BELL_PROJECTORS.items():
+            assert not proj.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                proj[0, 0] = 1.0
+            for rho in (bell_state(kind), werner_state(1.0), werner_state(0.0)):
+                assert not np.shares_memory(proj, rho.matrix)
+
+    @pytest.mark.parametrize("labels", [(), ("a",), ("a", "b", "c")])
+    def test_two_labels_required(self, labels):
+        message = re.escape(f"a two-qubit state needs exactly two labels, got {labels!r}")
+        with pytest.raises(ValueError, match=message):
+            bell_state("psi_minus", labels)
+        with pytest.raises(ValueError, match=message):
+            werner_state(0.9, labels)
 
 
 class TestConcurrence:

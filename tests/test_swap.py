@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magrep import swap
+from magrep import qcore, swap
 from magrep.qcore import (
     BELL_LABELS,
     DensityMatrix,
@@ -28,13 +28,17 @@ from magrep.swap import (
     swap_time,
 )
 from helpers import (
+    bell_state_from_ket,
     brute_force_bsm,
     checked_bsm_reference,
     exact_chain_state,
+    fusion_inputs,
+    fusion_op,
     ginibre_matrix,
     matrices_equal,
     random_four_qubit,
     states_close,
+    werner_state_from_ket,
 )
 
 
@@ -103,6 +107,11 @@ class TestBellOutcomes:
         }
         for o in BELL_OUTCOMES:
             assert np.array_equal(o.correction, expected[o.label])
+
+    def test_projectors_are_the_read_only_table(self):
+        for o in BELL_OUTCOMES:
+            assert o.projector is qcore._BELL_PROJECTORS[o.label]
+            assert not o.projector.flags.writeable
 
     def test_lookup(self):
         assert bell_outcome("phi_plus").label == "phi_plus"
@@ -241,6 +250,17 @@ class TestBSM:
             state = exact_chain_state(werner_state(0.94).matrix, 1.0, n)
             expected = werner_state(0.94**n)
             assert np.max(np.abs(state.matrix - expected.matrix)) <= 1e-9
+
+    def test_fusion_bit_identical_with_from_ket_links(self):
+        # The swap-fusion benchmark's first 50 seed-907 operations, once with
+        # the library's links and singlet and once with the from_ket route.
+        for _, (purities, heralds) in zip(range(50), fusion_inputs(907)):
+            m, fid, conc = fusion_op(purities, heralds)
+            m_ref, fid_ref, conc_ref = fusion_op(
+                purities, heralds, werner=werner_state_from_ket, bell=bell_state_from_ket
+            )
+            assert np.array_equal(m, m_ref)
+            assert (fid, conc) == (fid_ref, conc_ref)
 
     def test_two_stage_repeater_procedure(self):
         # first-stage measurements have left (m1,m2) and (m3,m4) in singlets;

@@ -10,14 +10,14 @@ to, so they too repeat on every run of one input (the fusion op's, only when
 measured cold; see there).
 """
 import gc
-import random
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from magrep import dynamics, qcore, swap
+from magrep import dynamics, qcore
+from helpers import fusion_inputs, fusion_op
 
 _SOLVERS = ("eigvalsh", "eigh", "svd")
 _COUNTED = ("checks", *_SOLVERS, "kron")
@@ -117,38 +117,18 @@ def test_generate_bell_pair_traced_peak(hamiltonian, dim):
     assert peak == pytest.approx(NODE_PEAK_BYTES[hamiltonian, dim], rel=0.02)
 
 
-def _fusion_inputs(seed: int):
-    """The swap-fusion benchmark's inputs: 8 link purities and 7 heralds per operation."""
-    rng = random.Random(f"swap-fusion/{seed}")
-    while True:
-        yield ([round(rng.uniform(0.9, 1.0), 6) for _ in range(8)],
-               [rng.choice(qcore.BELL_LABELS) for _ in range(7)])
-
-
-def _fusion_op(purities, heralds) -> None:
-    """One swap-fusion benchmark operation: 8 Werner links fused in 7 swaps, then scored."""
-    state = qcore.werner_state(purities[0], ("a0", "b0"))
-    for i, herald in enumerate(heralds, start=1):
-        link = qcore.werner_state(purities[i], (f"a{i}", f"b{i}"))
-        joint = qcore.tensor_product(state, link)
-        fused = swap.bsm(joint, f"b{i - 1}", f"a{i}", outcome=herald).post_state
-        state = swap.depolarize(fused, 0.967)
-    singlet = qcore.bell_state("psi_minus", state.space.labels)
-    qcore.fidelity(state, singlet)
-    qcore.concurrence(state)
-
-
-# Checks: 8 links and the 9 singlets built for them and for the final
-# fidelity, then per swap the joint register, bsm's corrected state and the
-# depolarized result (7 x 3); bsm's projected register and its reduced state
-# are plain arrays. eigvalsh: one per check. eigh: fidelity's two factors and
-# concurrence's one. svd: one each for fidelity and concurrence. np.kron: per
-# swap the tensor_product, the embedded projector and the correction (7 x 3).
+# Checks: 8 links and the final singlet for the fidelity, then per swap the
+# joint register, bsm's corrected state and the depolarized result (7 x 3);
+# the links mix the singlet projector built once at import, and bsm's
+# projected register and its reduced state are plain arrays. eigvalsh: one
+# per check. eigh: fidelity's two factors and concurrence's one. svd: one
+# each for fidelity and concurrence. np.kron: per swap the tensor_product,
+# the embedded projector and the correction (7 x 3).
 def test_fusion_op_work(work):
-    inputs = _fusion_inputs(907)
+    inputs = fusion_inputs(907)
     for _ in range(3):
-        _fusion_op(*next(inputs))
-        assert _tally(work) == (38, 38, 3, 2, 21)
+        fusion_op(*next(inputs))
+        assert _tally(work) == (30, 30, 3, 2, 21)
 
 
 # tracemalloc peak of one fusion op (the first seed-907 input), in bytes. Its
@@ -156,12 +136,12 @@ def test_fusion_op_work(work):
 # how many of them the interpreter's free lists serve depends on what ran
 # before: a warm peak read 6 KB less inside the full suite than alone. So
 # each call is measured cold, and the pin is the largest of seven calls; that
-# read 53.6-54.2 KB alone and after other tests. One more 16x16 register held
-# at the peak (4 KB, 7 %) falls outside 2 %.
-FUSION_PEAK_BYTES = 53_900
+# read 51.5-52.4 KB alone and after other tests. One more 16x16 register held
+# at the peak (4 KB, 8 %) falls outside 2 %.
+FUSION_PEAK_BYTES = 52_000
 
 
 def test_fusion_op_traced_peak():
-    inputs = next(_fusion_inputs(907))
-    peak = max(_traced_peak(lambda: _fusion_op(*inputs), cold=True) for _ in range(7))
+    inputs = next(fusion_inputs(907))
+    peak = max(_traced_peak(lambda: fusion_op(*inputs), cold=True) for _ in range(7))
     assert peak == pytest.approx(FUSION_PEAK_BYTES, rel=0.02)
