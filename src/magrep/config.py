@@ -36,10 +36,9 @@ field, with frequencies in the stored rad/s.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from pathlib import Path
 
-from .params import TWO_PI, LindbladParams, Value
+from .params import TWO_PI, LindbladParams, Value, check_count, check_probability, check_real
 
 OUTPUT_FORMATS = ("csv", "svg")
 
@@ -65,19 +64,20 @@ class RunConfig(Value):
     dt: float | None = None  # s; pair shrinks it so whole steps land on the quarter period
 
     def __post_init__(self) -> None:
-        if isinstance(self.hops, bool) or not isinstance(self.hops, Integral) or self.hops < 1:
-            raise ConfigError(f"hops must be an integer >= 1, got {self.hops!r}")
-        for key in ("t_final", "dt"):
-            value = getattr(self, key)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be finite and > 0, got {value}")
-        if not self.formats:
-            raise ConfigError("at least one output format is required")
-        bad = [f for f in self.formats if f not in OUTPUT_FORMATS]
-        if bad:
-            raise ConfigError(f"unknown output formats {bad}; valid: {OUTPUT_FORMATS}")
-        if self.pclick_override is not None and not 0.0 <= self.pclick_override <= 1.0:
-            raise ConfigError(f"pclick_override={self.pclick_override} outside [0, 1]")
+        try:
+            check_count("hops", self.hops)
+            for key in ("t_final", "dt"):
+                if getattr(self, key) is not None:
+                    check_real(key, getattr(self, key), "> 0")
+            if not self.formats:
+                raise ValueError("at least one output format is required")
+            bad = [f for f in self.formats if f not in OUTPUT_FORMATS]
+            if bad:
+                raise ValueError(f"unknown output formats {bad}; valid: {OUTPUT_FORMATS}")
+            if self.pclick_override is not None:
+                check_probability("pclick_override", self.pclick_override)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 

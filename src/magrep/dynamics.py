@@ -28,6 +28,7 @@ from .params import (
     IntegrationError,
     LindbladParams,
     Value,
+    check_count,
 )
 from .qcore import (
     DensityMatrix,
@@ -337,12 +338,9 @@ def evolve(
         raise ValueError(f"initial state lives on {rho0.space.labels}/{rho0.space.dims}, expected {space.labels}/{space.dims}")
     if dt is None:
         dt = default_step(p, hamiltonian)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     if t_final < dt:
         raise ValueError(f"t_final ({t_final}) must be >= dt ({dt})")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    check_count("record_every", record_every)
 
     h = _hamiltonian_for(p, hamiltonian)
     jumps = collapse_operators(p)

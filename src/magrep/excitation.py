@@ -17,6 +17,7 @@ import math
 
 from .params import (
     HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, IntegrationError, LindbladParams, Value,
+    check_count, check_real,
 )
 
 # Target phase advance per integration step, in radians of the fastest scale.
@@ -183,10 +184,8 @@ def integrate_pair(p: LindbladParams, t_final: float, n_steps: int) -> BlockTrac
     raises :class:`IntegrationError` naming the check, the value and the
     time; no state is renormalized. ``t_final`` must be finite and > 0.
     """
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    check_real("t_final", t_final, "> 0")
+    check_count("n_steps", n_steps)
     dt = t_final / n_steps
     step = step_matrix(generator(p), dt)
     v = [0j, 1 + 0j, 0j, 0j, 0j]

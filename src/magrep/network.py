@@ -10,10 +10,7 @@ exact density-matrix pipeline in the test suite.
 """
 from __future__ import annotations
 
-import math
-from numbers import Integral
-
-from .params import Value
+from .params import Value, check_count, check_probability, check_real
 
 # Minimum conditional fidelity for a hop to count as usable for key distribution.
 USABLE_FIDELITY_THRESHOLD = 0.7
@@ -45,26 +42,13 @@ class ScenarioParams(Value):
     m_mux: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha (attenuation) must be finite and >= 0, got {self.alpha}")
-        if not (math.isfinite(self.l_span) and self.l_span > 0):
-            raise ValueError(f"l_span (span length) must be finite and > 0, got {self.l_span}")
-        effs = {
-            "eta_read": self.eta_read,
-            "eta_extra": self.eta_extra,
-            "eta_det": self.eta_det,
-            "eta_col": self.eta_col,
-            "p_bsa": self.p_bsa,
-        }
+        check_real("alpha", self.alpha)
+        check_real("l_span", self.l_span, "> 0")
+        for key in ("eta_read", "eta_extra", "eta_det", "eta_col", "p_bsa"):
+            check_probability(key, getattr(self, key))
         if self.eta_conv is not None:
-            effs["eta_conv"] = self.eta_conv
-        for key, val in effs.items():
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{key}={val} outside [0, 1]")
-        if isinstance(self.m_mux, bool) or not isinstance(self.m_mux, Integral) or self.m_mux < 1:
-            raise ValueError(
-                f"m_mux (multiplexing level) must be an integer >= 1, got {self.m_mux!r}"
-            )
+            check_probability("eta_conv", self.eta_conv)
+        check_count("m_mux", self.m_mux)
 
 
 class NoiseModel(Value):
@@ -75,9 +59,7 @@ class NoiseModel(Value):
 
     def __post_init__(self) -> None:
         for key in ("p_link", "q_swap"):
-            val = getattr(self, key)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{key}={val} outside [0, 1]")
+            check_probability(key, getattr(self, key))
 
 
 class HopRecord(Value):
@@ -153,10 +135,8 @@ def click_probability(s: ScenarioParams) -> float:
 
 def hop_success(p_click: float, m_mux: int) -> float:
     """At least one of m_mux parallel channels clicks: 1 - (1 - p)^m."""
-    if not 0.0 <= p_click <= 1.0:
-        raise ValueError(f"p_click={p_click} outside [0, 1]")
-    if m_mux < 1:
-        raise ValueError(f"multiplexing level must be >= 1, got {m_mux}")
+    check_probability("p_click", p_click)
+    check_count("m_mux", m_mux)
     if m_mux == 1:
         return p_click
     return 1.0 - (1.0 - p_click) ** m_mux
@@ -164,8 +144,7 @@ def hop_success(p_click: float, m_mux: int) -> float:
 
 def chain_purity(hops: int, nm: NoiseModel) -> float:
     """Effective Werner purity after ``hops`` links and ``hops - 1`` swaps."""
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops}")
+    check_count("hops", hops)
     return nm.p_link**hops * nm.q_swap ** (hops - 1)
 
 
@@ -189,10 +168,9 @@ def simulate_chain(
     multiplexing arithmetic still follows the scenario's m_mux. The cumulative
     success is the running product of the per-hop success, in hop order.
     """
-    if hops < 1:
-        raise ValueError(f"hops must be >= 1, got {hops}")
-    if p_click_override is not None and not 0.0 <= p_click_override <= 1.0:
-        raise ValueError(f"p_click_override={p_click_override} outside [0, 1]")
+    check_count("hops", hops)
+    if p_click_override is not None:
+        check_probability("p_click_override", p_click_override)
 
     p_click = click_probability(scenario) if p_click_override is None else p_click_override
     p_hop = hop_success(p_click, scenario.m_mux)

@@ -4,6 +4,13 @@ Kept free of numpy so that ``config`` and ``cli`` can build a run
 configuration, and every CLI command can run, without loading the numerical
 layers. :mod:`magrep.dynamics` re-exports the node names defined here.
 
+Every count, real and probability that a constructor or public function
+takes is checked by one of three rules, each refusing a bool with a
+``ValueError`` that names the argument: :func:`check_count` (an integer, at
+least a minimum), :func:`check_real` (finite; ``>= 0``, ``> 0`` or any sign)
+and :func:`check_probability` (in [0, 1], NaN outside). The last two compare
+plainly, not by ``isinstance(v, numbers.Real)``: they run on the swap path.
+
 Units: all frequencies and rates are angular (rad/s).
 """
 from __future__ import annotations
@@ -20,6 +27,26 @@ TWO_PI = 2.0 * math.pi
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_DRIFT_LIMIT = 1e-6
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a ``value`` that is not an integer (a bool is not) of at least ``minimum``."""
+    if value.__class__ is bool or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, bound: str | None = ">= 0") -> None:
+    """Refuse a bool, a non-finite value, or one outside ``bound`` (">= 0", "> 0"; None: any)."""
+    if (value.__class__ is bool or not -math.inf < value < math.inf
+            or (bound == ">= 0" and not value >= 0) or (bound == "> 0" and not value > 0)):
+        sign = "" if bound is None else f" and {bound}"
+        raise ValueError(f"{name} must be finite{sign}, got {value}")
+
+
+def check_probability(name: str, value) -> None:
+    """Refuse a ``value`` that is a bool or outside [0, 1]; NaN is outside."""
+    if value.__class__ is bool or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}={value} outside [0, 1]")
 
 
 class IntegrationError(RuntimeError):
@@ -121,13 +148,9 @@ class LindbladParams(Value):
 
     def __post_init__(self) -> None:
         for name in ("omega_c", "omega_m", "g_mc", "kappa_d", "gamma_d", "kappa_phi", "gamma_phi"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            check_real(name, getattr(self, name))
         for name in ("dim_c", "dim_m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
-                raise ValueError(f"mode truncations must be integers >= 2, got {name}={value!r}")
+            check_count(name, getattr(self, name), 2)
 
     def without_dissipation(self) -> "LindbladParams":
         return self.replace(kappa_d=0.0, gamma_d=0.0, kappa_phi=0.0, gamma_phi=0.0)

@@ -10,12 +10,11 @@ storage is unapologetically dense.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .params import HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, Value
+from .params import HERMITIAN_TOL, PSD_TOL, TRACE_DRIFT_LIMIT, Value, check_count, check_probability
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -71,8 +70,7 @@ class HilbertSpec(Value):
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate subsystem labels: {labels}")
         for lbl, d in subs:
-            if isinstance(d, bool) or not isinstance(d, Integral) or d < 2:
-                raise ValueError(f"subsystem {lbl!r} needs an integer dimension >= 2, got {d!r}")
+            check_count(f"subsystem {lbl!r} dimension", d, 2)
         subs = tuple((lbl, int(d)) for lbl, d in subs)
         self.__dict__.update(subsystems=subs, dim=math.prod(d for _, d in subs))
 
@@ -259,8 +257,7 @@ def werner_state(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMat
     own; the only check is the construction of the returned state. ``labels``
     must be exactly two labels.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"purity p={p} outside [0, 1]")
+    check_probability("p", p)
     m = p * _BELL_PROJECTORS["psi_minus"] + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
     return DensityMatrix(_pair_space(labels), m)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .params import Value
+from .params import Value, check_probability, check_real
 from .qcore import (
     BELL_LABELS,
     DensityMatrix,
@@ -68,15 +68,16 @@ class SwapResult(Value, eq=False):
 
 
 def beam_splitter_unitary(beta: float, t: float) -> np.ndarray:
-    """Two-mode mixing unitary for coupling rate ``beta`` acting for time ``t``."""
+    """Two-mode mixing unitary for coupling rate ``beta`` acting for time ``t`` (either sign)."""
+    check_real("beta", beta, None)
+    check_real("t", t, None)
     c, s = math.cos(beta * t), math.sin(beta * t)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def swap_time(g_bs: float) -> float:
     """Evolution time for a full mode swap: pi / (2 g_bs)."""
-    if not g_bs > 0:
-        raise ValueError(f"beam-splitter rate must be > 0, got {g_bs}")
+    check_real("g_bs", g_bs, "> 0")
     return math.pi / (2.0 * g_bs)
 
 
@@ -134,8 +135,7 @@ def node_swap_gate(rho: DensityMatrix, label_a: str, label_b: str) -> DensityMat
 
 def depolarize(rho: DensityMatrix, q: float) -> DensityMatrix:
     """Two-qubit depolarizing channel with retention q: q rho + (1-q) I/4."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"retention q={q} outside [0, 1]")
+    check_probability("q", q)
     if rho.space.dim != 4:
         raise ValueError(f"depolarize expects a two-qubit state, got dimension {rho.space.dim}")
     m = q * rho.matrix + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
@@ -148,8 +148,6 @@ def heralded_link_probability(length_km: float, attenuation_length_km: float = 1
     exp(-L/d)/2: the 1/2 is the intrinsic linear-optics analyzer ceiling, the
     exponential is two-photon survival over length L with attenuation length d.
     """
-    if not length_km >= 0:
-        raise ValueError(f"length must be >= 0, got {length_km}")
-    if not attenuation_length_km > 0:
-        raise ValueError(f"attenuation length must be > 0, got {attenuation_length_km}")
+    check_real("length_km", length_km)
+    check_real("attenuation_length_km", attenuation_length_km, "> 0")
     return math.exp(-length_km / attenuation_length_km) / 2.0

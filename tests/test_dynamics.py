@@ -60,7 +60,7 @@ class TestParams:
             LindbladParams(kappa_d=float("inf"))
 
     def test_truncation_bounds(self):
-        with pytest.raises(ValueError, match="truncations"):
+        with pytest.raises(ValueError, match="dim_c"):
             LindbladParams(dim_c=1)
 
 
@@ -278,6 +278,8 @@ class TestEvolve:
             evolve(rho0, p, 1e-9, dt=0.0)
         with pytest.raises(ValueError, match="record_every"):
             evolve(rho0, p, 1e-9, record_every=0)
+        with pytest.raises(ValueError, match=r"^record_every must be an integer >= 1, got 1\.5$"):
+            evolve(rho0, p, 1e-9, record_every=1.5)
 
     def test_default_step_needs_a_scale(self):
         frozen = ideal_params(g_mc=0.0)

@@ -68,7 +68,7 @@ class TestScenarioTable:
     def test_field_validation(self):
         with pytest.raises(ValueError, match="eta_det"):
             ScenarioParams("x", 1.0, 1.0, 0.5, None, 0.9, 1.2, 0.9, 0.5, 1)
-        with pytest.raises(ValueError, match="multiplexing"):
+        with pytest.raises(ValueError, match="m_mux"):
             ScenarioParams("x", 1.0, 1.0, 0.5, None, 0.9, 0.9, 0.9, 0.5, 0)
         with pytest.raises(ValueError, match="span"):
             ScenarioParams("x", 1.0, 0.0, 0.5, None, 0.9, 0.9, 0.9, 0.5, 1)

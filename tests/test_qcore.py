@@ -53,7 +53,7 @@ class TestHilbertSpec:
 
     @pytest.mark.parametrize("dim", [2.9, "3", True])
     def test_non_integer_dimension_rejected(self, dim):
-        with pytest.raises(ValueError, match="subsystem 'b' needs an integer dimension"):
+        with pytest.raises(ValueError, match="subsystem 'b' dimension must be an integer"):
             HilbertSpec((("a", 2), ("b", dim)))
 
     def test_unknown_label(self):
