@@ -39,8 +39,8 @@ _HOMES = {
         "click_probability", "get_scenario", "hop_success", "link_efficiency", "simulate_chain",
     ),
     "swap": (
-        "BELL_OUTCOMES", "BellOutcome", "SwapResult", "beam_splitter_unitary", "bsm",
-        "depolarize", "heralded_link_probability", "node_swap_gate", "swap_time",
+        "SwapResult", "beam_splitter_unitary", "bsm", "depolarize",
+        "heralded_link_probability", "node_swap_gate", "swap_time",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -29,6 +29,7 @@ from .params import (
     LindbladParams,
     Value,
     check_count,
+    check_real,
 )
 from .qcore import (
     DensityMatrix,
@@ -336,8 +337,10 @@ def evolve(
     space = node_space(p)
     if rho0.space != space:
         raise ValueError(f"initial state lives on {rho0.space.labels}/{rho0.space.dims}, expected {space.labels}/{space.dims}")
+    check_real("t_final", t_final, "> 0")
     if dt is None:
         dt = default_step(p, hamiltonian)
+    n_steps = whole_steps(t_final, dt)
     if t_final < dt:
         raise ValueError(f"t_final ({t_final}) must be >= dt ({dt})")
     check_count("record_every", record_every)
@@ -345,7 +348,6 @@ def evolve(
     h = _hamiltonian_for(p, hamiltonian)
     jumps = collapse_operators(p)
     dim = space.dim
-    n_steps = whole_steps(t_final, dt)
     dt_used = t_final / n_steps
     segments = _segments(n_steps, record_every)
     if _dense_cost(dim, segments) <= _matrix_free_cost(dim, len(jumps), n_steps):

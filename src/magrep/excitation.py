@@ -46,13 +46,13 @@ def check_hamiltonian(p: LindbladParams, name: str) -> None:
 def whole_steps(span: float, dt: float) -> int:
     """Steps covering ``span`` exactly, ``dt`` shrunk (never grown) to fit; >= 1.
 
-    A ``dt <= 0``, a ``span <= 0``, or a ``span / dt`` that is not a finite
-    float (a NaN span, or one beyond the largest float) has no step count:
-    ``ValueError``.
+    A bool, a ``dt <= 0``, a ``span <= 0``, or a ``span / dt`` that is not a
+    finite float (a NaN span, or one beyond the largest float) has no step
+    count: ``ValueError``.
     """
-    if dt <= 0:
+    if dt.__class__ is bool or dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if span <= 0:
+    if span.__class__ is bool or span <= 0:
         raise ValueError(f"span must be > 0, got {span}")
     ratio = span / dt
     if not math.isfinite(ratio):

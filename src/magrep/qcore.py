@@ -39,16 +39,6 @@ _BELL_KETS = {
 }
 
 
-def _bell_projector(ket: np.ndarray) -> np.ndarray:
-    # The arithmetic of DensityMatrix.from_ket, so the table matches it bit for bit.
-    v = ket / np.linalg.norm(ket)
-    return _readonly(np.outer(v, v.conj()))
-
-
-# |B><B| for each Bell label, built once; the one source of Bell projectors.
-_BELL_PROJECTORS = {kind: _bell_projector(ket) for kind, ket in _BELL_KETS.items()}
-
-
 class HilbertSpec(Value):
     """Ordered, labeled tensor-product decomposition of a Hilbert space.
 
@@ -146,6 +136,15 @@ class DensityMatrix(Value, eq=False):
             raise ValueError("zero state vector")
         v = v / norm
         return cls(space, np.outer(v, v.conj()))
+
+
+# |B><B| for each Bell label, built once by from_ket; the one source of Bell projectors.
+_BELL_PROJECTORS = {
+    kind: DensityMatrix.from_ket(qubit_space("q0", "q1"), ket).matrix
+    for kind, ket in _BELL_KETS.items()
+}
+# I/4, the two-qubit maximally mixed state.
+_QUARTER_IDENTITY = _readonly(np.eye(4, dtype=complex) / 4.0)
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -258,7 +257,7 @@ def werner_state(p: float, labels: tuple[str, str] = ("q0", "q1")) -> DensityMat
     must be exactly two labels.
     """
     check_probability("p", p)
-    m = p * _BELL_PROJECTORS["psi_minus"] + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    m = p * _BELL_PROJECTORS["psi_minus"] + (1.0 - p) * _QUARTER_IDENTITY
     return DensityMatrix(_pair_space(labels), m)
 
 

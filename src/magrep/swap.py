@@ -20,6 +20,8 @@ from .qcore import (
     PAULI_X,
     PAULI_Z,
     _BELL_PROJECTORS,
+    _QUARTER_IDENTITY,
+    _readonly,
     _trace_out,
     embed,
 )
@@ -28,41 +30,19 @@ from .qcore import (
 ZERO_BRANCH_TOL = 1e-12
 
 
-class BellOutcome(Value, eq=False):
-    """One heralded measurement result: projector plus feed-forward correction."""
-
-    label: str
-    projector: np.ndarray
-    correction: np.ndarray
-
-
-def _build_outcomes() -> tuple[BellOutcome, ...]:
-    corrections = {
-        "psi_plus": PAULI_Z,
-        "psi_minus": ID2,
-        "phi_plus": PAULI_Z @ PAULI_X,
-        "phi_minus": PAULI_X,
-    }
-    return tuple(
-        BellOutcome(label=label, projector=_BELL_PROJECTORS[label], correction=corrections[label])
-        for label in BELL_LABELS
-    )
-
-
-BELL_OUTCOMES: tuple[BellOutcome, ...] = _build_outcomes()
-
-
-def bell_outcome(label: str) -> BellOutcome:
-    """Look up an outcome by its Bell label (one of ``BELL_LABELS``)."""
-    if label not in BELL_LABELS:
-        raise ValueError(f"unknown outcome {label!r}; expected one of {BELL_LABELS}")
-    return BELL_OUTCOMES[BELL_LABELS.index(label)]
+# The survivors' feed-forward kron(I, C) for each Bell label, built once: C
+# rotates the second survivor so every branch lands on the singlet.
+_CORRECTIONS = {
+    label: _readonly(np.kron(ID2, c))
+    for label, c in (("psi_plus", PAULI_Z), ("psi_minus", ID2),
+                     ("phi_plus", PAULI_Z @ PAULI_X), ("phi_minus", PAULI_X))
+}
 
 
 class SwapResult(Value, eq=False):
-    """Outcome of one heralded swap: which Bell click, how likely, what remains."""
+    """Outcome of one heralded swap: which Bell click (its label), how likely, what remains."""
 
-    outcome: BellOutcome
+    outcome: str
     probability: float
     post_state: DensityMatrix
 
@@ -71,7 +51,9 @@ def beam_splitter_unitary(beta: float, t: float) -> np.ndarray:
     """Two-mode mixing unitary for coupling rate ``beta`` acting for time ``t`` (either sign)."""
     check_real("beta", beta, None)
     check_real("t", t, None)
-    c, s = math.cos(beta * t), math.sin(beta * t)
+    angle = beta * t
+    check_real("beta * t", angle, None)
+    c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
@@ -102,18 +84,19 @@ def bsm(rho: DensityMatrix, qubit_a: str, qubit_b: str, outcome: str) -> SwapRes
     the returned ``post_state``, and its construction checks it.
     """
     _require_four_qubits(rho, qubit_a, qubit_b)
-    chosen = bell_outcome(outcome)
-    proj = embed(chosen.projector, rho.space, (qubit_a, qubit_b))
+    if outcome not in BELL_LABELS:
+        raise ValueError(f"unknown outcome {outcome!r}; expected one of {BELL_LABELS}")
+    proj = embed(_BELL_PROJECTORS[outcome], rho.space, (qubit_a, qubit_b))
     prob = float(np.real(np.trace(proj @ rho.matrix)))
     if prob < ZERO_BRANCH_TOL:
-        raise ValueError(f"outcome {chosen.label} has probability {prob:.3e}; branch is empty")
+        raise ValueError(f"outcome {outcome} has probability {prob:.3e}; branch is empty")
     branch = proj @ rho.matrix @ proj / prob
     keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
     survivors, reduced = _trace_out(branch, rho.space, keep)
-    corr = np.kron(ID2, chosen.correction)
+    corr = _CORRECTIONS[outcome]
     fixed = corr @ reduced @ corr.conj().T
     return SwapResult(
-        outcome=chosen,
+        outcome=outcome,
         probability=prob,
         post_state=DensityMatrix(survivors, fixed),
     )
@@ -138,7 +121,7 @@ def depolarize(rho: DensityMatrix, q: float) -> DensityMatrix:
     check_probability("q", q)
     if rho.space.dim != 4:
         raise ValueError(f"depolarize expects a two-qubit state, got dimension {rho.space.dim}")
-    m = q * rho.matrix + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
+    m = q * rho.matrix + (1.0 - q) * _QUARTER_IDENTITY
     return DensityMatrix(rho.space, m)
 
 

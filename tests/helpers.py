@@ -192,13 +192,12 @@ def checked_bsm_reference(
     is a ``DensityMatrix`` reduced by the public ``qcore.partial_trace``. So
     ``bsm`` must match it bit for bit.
     """
-    chosen = swap.bell_outcome(outcome)
-    proj = qcore.embed(chosen.projector, rho.space, (qubit_a, qubit_b))
+    proj = qcore.embed(qcore._BELL_PROJECTORS[outcome], rho.space, (qubit_a, qubit_b))
     prob = float(np.real(np.trace(proj @ rho.matrix)))
     branch = DensityMatrix(rho.space, proj @ rho.matrix @ proj / prob)
     keep = [lbl for lbl in rho.space.labels if lbl not in (qubit_a, qubit_b)]
     survivors = qcore.partial_trace(branch, keep)
-    corr = np.kron(qcore.ID2, chosen.correction)
+    corr = swap._CORRECTIONS[outcome]
     return prob, DensityMatrix(survivors.space, corr @ survivors.matrix @ corr.conj().T)
 
 

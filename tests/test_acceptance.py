@@ -205,9 +205,9 @@ def test_criterion_04_swap_oracle_equivalence():
     worst = 0.0
     for _ in range(50):
         rho = qcore.DensityMatrix(space, ginibre_matrix(rng, 16))
-        for o in swap.BELL_OUTCOMES:
-            result = swap.bsm(rho, "q1", "q2", outcome=o.label)
-            prob_bf, post_bf = brute_force_bsm(rho.matrix, qcore.BELL_LABELS.index(o.label))
+        for k, label in enumerate(qcore.BELL_LABELS):
+            result = swap.bsm(rho, "q1", "q2", outcome=label)
+            prob_bf, post_bf = brute_force_bsm(rho.matrix, k)
             worst = max(
                 worst,
                 abs(result.probability - prob_bf),

@@ -166,9 +166,10 @@ def test_span_without_a_step_count_is_a_value_error(span, message):
         excitation.whole_steps(span, 1e-11)
 
 
-@pytest.mark.parametrize("dt", [-1e-9, -math.inf, 0.0])
+@pytest.mark.parametrize("dt", [-1e-9, -math.inf, 0.0, True])
 def test_non_positive_step_is_a_value_error(dt):
-    # unchecked, a negative dt runs one step over t_q (fidelity 0.95674) and 0 divides by zero
+    # unchecked, a negative dt or True runs one step over t_q (fidelity 0.95674)
+    # and 0 divides by zero
     p = LindbladParams()
     message = re.escape(f"dt must be > 0, got {dt}")
     with pytest.raises(ValueError, match=message):

@@ -83,6 +83,7 @@ TABLE = [
      lambda v: heralded_link_probability(1.0, v)),
     ("integrate_pair", "t_final", _REAL["> 0"], (1e-9,), lambda v: integrate_pair(_P, v, 10)),
     ("integrate_pair", "n_steps", _count(1), (1, 10), lambda v: integrate_pair(_P, 1e-9, v)),
+    ("evolve", "t_final", _REAL["> 0"], (1e-9,), lambda v: evolve(initial_pair_state(_P), _P, v)),
     ("evolve", "record_every", _count(1), (1, 7),
      lambda v: evolve(initial_pair_state(_P), _P, 1e-9, record_every=v)),
 ]

@@ -22,9 +22,8 @@ HOMES = {
     "dynamics": ("EvolutionTrace", "build_full_hamiltonian", "build_rwa_hamiltonian",
                  "collapse_operators", "evolve", "generate_bell_pair", "lindblad_rhs"),
     # swapping
-    "swap": ("BellOutcome", "BELL_OUTCOMES", "SwapResult", "beam_splitter_unitary",
-             "bsm", "depolarize", "heralded_link_probability", "node_swap_gate",
-             "swap_time"),
+    "swap": ("SwapResult", "beam_splitter_unitary", "bsm", "depolarize",
+             "heralded_link_probability", "node_swap_gate", "swap_time"),
     # chain model
     "network": ("ScenarioParams", "NoiseModel", "ChainReport", "BUILTIN_SCENARIOS",
                 "chain_fidelity", "click_probability", "get_scenario", "hop_success",

@@ -17,10 +17,7 @@ from magrep.qcore import (
     werner_state,
 )
 from magrep.swap import (
-    BELL_OUTCOMES,
-    BellOutcome,
     beam_splitter_unitary,
-    bell_outcome,
     bsm,
     depolarize,
     heralded_link_probability,
@@ -62,6 +59,12 @@ class TestBeamSplitter:
         expected = np.array([[0, -1j], [-1j, 0]])
         assert matrices_equal(u, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("beta, t", [(1e200, 1e200), (1e308, 10.0), (-1e200, 1e200)])
+    def test_overflowing_phase_is_refused_by_name(self, beta, t):
+        # each factor is finite, but their product overflows to +-inf
+        with pytest.raises(ValueError, match=r"^beta \* t must be finite, got -?inf$"):
+            beam_splitter_unitary(beta, t)
+
     @given(angle=st.floats(-10.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_always_unitary(self, angle):
@@ -86,15 +89,15 @@ class TestSwapTime:
 
 class TestBellOutcomes:
     def test_projectors_partition_identity(self):
-        total = sum(o.projector for o in BELL_OUTCOMES)
-        assert matrices_equal(total, np.eye(4), atol=1e-12)
-        for o in BELL_OUTCOMES:
-            assert np.trace(o.projector) == pytest.approx(1.0, abs=1e-12)
-            assert matrices_equal(o.projector @ o.projector, o.projector, atol=1e-12)
-        for a in BELL_OUTCOMES:
-            for b in BELL_OUTCOMES:
-                if a is not b:
-                    assert np.max(np.abs(a.projector @ b.projector)) <= 1e-12
+        projectors = qcore._BELL_PROJECTORS
+        assert matrices_equal(sum(projectors.values()), np.eye(4), atol=1e-12)
+        for proj in projectors.values():
+            assert np.trace(proj) == pytest.approx(1.0, abs=1e-12)
+            assert matrices_equal(proj @ proj, proj, atol=1e-12)
+        for a in BELL_LABELS:
+            for b in BELL_LABELS:
+                if a != b:
+                    assert np.max(np.abs(projectors[a] @ projectors[b])) <= 1e-12
 
     def test_correction_table(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -105,21 +108,24 @@ class TestBellOutcomes:
             "phi_plus": z @ x,
             "phi_minus": x,
         }
-        for o in BELL_OUTCOMES:
-            assert np.array_equal(o.correction, expected[o.label])
+        assert tuple(swap._CORRECTIONS) == BELL_LABELS
+        for label, corr in swap._CORRECTIONS.items():
+            assert np.array_equal(corr, np.kron(np.eye(2), expected[label]))
+            assert not corr.flags.writeable
 
     def test_projectors_are_the_read_only_table(self):
-        for o in BELL_OUTCOMES:
-            assert o.projector is qcore._BELL_PROJECTORS[o.label]
-            assert not o.projector.flags.writeable
+        # bsm reads the one table qcore builds, so a patched entry reaches both
+        assert swap._BELL_PROJECTORS is qcore._BELL_PROJECTORS
+        for proj in qcore._BELL_PROJECTORS.values():
+            assert not proj.flags.writeable
 
     def test_lookup(self):
-        assert bell_outcome("phi_plus").label == "phi_plus"
-        assert bell_outcome("psi_minus").label == "psi_minus"
+        assert bsm(two_singlets(), "q1", "q2", outcome="phi_plus").outcome == "phi_plus"
+        assert bsm(two_singlets(), "q1", "q2", outcome="psi_minus").outcome == "psi_minus"
         with pytest.raises(ValueError, match="unknown outcome"):
-            bell_outcome("nope")
+            bsm(two_singlets(), "q1", "q2", outcome="nope")
         with pytest.raises(ValueError, match="unknown outcome"):
-            bell_outcome(2)  # an index is not a label
+            bsm(two_singlets(), "q1", "q2", outcome=2)  # an index is not a label
 
 
 def branch_probabilities(rho: DensityMatrix, qubit_a: str, qubit_b: str) -> np.ndarray:
@@ -136,15 +142,16 @@ class TestBSM:
     def test_singlet_singlet_every_outcome_restores_singlet(self):
         rho = two_singlets()
         target = bell_state("psi_minus")
-        for o in BELL_OUTCOMES:
-            result = bsm(rho, "q1", "q2", outcome=o.label)
+        for label in BELL_LABELS:
+            result = bsm(rho, "q1", "q2", outcome=label)
+            assert result.outcome == label
             assert result.probability == pytest.approx(0.25, abs=1e-10)
             assert fidelity(result.post_state, target) == pytest.approx(1.0, abs=1e-10)
             assert result.post_state.space.labels == ("q0", "q3")
 
     def test_singlet_branch_needs_no_correction(self):
         result = bsm(two_singlets(), "q1", "q2", outcome="psi_minus")
-        assert np.array_equal(result.outcome.correction, np.eye(2, dtype=complex))
+        assert np.array_equal(swap._CORRECTIONS[result.outcome], np.eye(4, dtype=complex))
 
     def test_werner_composition(self):
         rho = tensor_product(werner_state(0.94, ("q0", "q1")), werner_state(0.94, ("q2", "q3")))
@@ -162,9 +169,9 @@ class TestBSM:
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(50):
             rho = random_four_qubit(rng)
-            for o in BELL_OUTCOMES:
-                result = bsm(rho, "q1", "q2", outcome=o.label)
-                prob_bf, post_bf = brute_force_bsm(rho.matrix, BELL_LABELS.index(o.label))
+            for k, label in enumerate(BELL_LABELS):
+                result = bsm(rho, "q1", "q2", outcome=label)
+                prob_bf, post_bf = brute_force_bsm(rho.matrix, k)
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
 
@@ -177,10 +184,9 @@ class TestBSM:
         for _ in range(20):
             rho = random_four_qubit(rng)
             moved = rho.matrix.reshape((2,) * 8).transpose(order + [4 + i for i in order])
-            for o in BELL_OUTCOMES:
-                result = bsm(rho, *pair, outcome=o.label)
-                prob_bf, post_bf = brute_force_bsm(moved.reshape(16, 16),
-                                                   BELL_LABELS.index(o.label))
+            for k, label in enumerate(BELL_LABELS):
+                result = bsm(rho, *pair, outcome=label)
+                prob_bf, post_bf = brute_force_bsm(moved.reshape(16, 16), k)
                 assert result.post_state.space.labels == survivors
                 assert result.probability == pytest.approx(prob_bf, abs=1e-10)
                 assert np.max(np.abs(result.post_state.matrix - post_bf)) <= 1e-10
@@ -202,20 +208,16 @@ class TestBSM:
     def test_corrupted_post_state_is_refused(self, monkeypatch):
         # a correction that is not unitary scales the trace by 4; the returned
         # state's own check must still catch it
-        good = bell_outcome("psi_plus")
-        bad = BellOutcome(label=good.label, projector=good.projector,
-                          correction=2.0 * good.correction)
-        monkeypatch.setattr(swap, "bell_outcome", lambda label: bad)
+        bad = 2.0 * swap._CORRECTIONS["psi_plus"]
+        monkeypatch.setitem(swap._CORRECTIONS, "psi_plus", bad)
         with pytest.raises(ValueError, match="trace .* deviates from 1"):
             bsm(two_singlets(), "q1", "q2", outcome="psi_plus")
 
     def test_complex_correction_is_applied_with_its_adjoint(self, rng, monkeypatch):
         # the four Pauli corrections are real, so only a complex unitary shows
         # that bsm conjugates by the correction's adjoint, not its transpose
-        good = bell_outcome("psi_plus")
-        phase = BellOutcome(label=good.label, projector=good.projector,
-                            correction=np.diag([1.0, 1.0j]))
-        monkeypatch.setattr(swap, "bell_outcome", lambda label: phase)
+        phase = np.kron(np.eye(2), np.diag([1.0, 1.0j]))
+        monkeypatch.setitem(swap._CORRECTIONS, "psi_plus", phase)
         rho = random_four_qubit(rng)
         result = bsm(rho, "q1", "q2", outcome="psi_plus")
         _, post = checked_bsm_reference(rho, "q1", "q2", "psi_plus")
@@ -279,8 +281,8 @@ class TestBSM:
         node = node_swap_gate(node, "m2", "c2")
         node = node_swap_gate(node, "m3", "c3")
         register = partial_trace(node, ["m1", "c2", "c3", "m4"])
-        for o in BELL_OUTCOMES:
-            result = bsm(register, "c2", "c3", outcome=o.label)
+        for label in BELL_LABELS:
+            result = bsm(register, "c2", "c3", outcome=label)
             assert result.probability == pytest.approx(0.25, abs=1e-10)
             assert fidelity(result.post_state, bell_state("psi_minus")) == pytest.approx(1.0, abs=1e-10)
 

@@ -122,13 +122,13 @@ def test_generate_bell_pair_traced_peak(hamiltonian, dim):
 # the links mix the singlet projector built once at import, and bsm's
 # projected register and its reduced state are plain arrays. eigvalsh: one
 # per check. eigh: fidelity's two factors and concurrence's one. svd: one
-# each for fidelity and concurrence. np.kron: per swap the tensor_product,
-# the embedded projector and the correction (7 x 3).
+# each for fidelity and concurrence. np.kron: per swap the tensor_product
+# and the embedded projector (7 x 2); each correction is built once, at import.
 def test_fusion_op_work(work):
     inputs = fusion_inputs(907)
     for _ in range(3):
         fusion_op(*next(inputs))
-        assert _tally(work) == (30, 30, 3, 2, 21)
+        assert _tally(work) == (30, 30, 3, 2, 14)
 
 
 # tracemalloc peak of one fusion op (the first seed-907 input), in bytes. Its
@@ -136,9 +136,9 @@ def test_fusion_op_work(work):
 # how many of them the interpreter's free lists serve depends on what ran
 # before: a warm peak read 6 KB less inside the full suite than alone. So
 # each call is measured cold, and the pin is the largest of seven calls; that
-# read 51.5-52.4 KB alone and after other tests. One more 16x16 register held
+# read 51.2-51.7 KB alone and after other tests. One more 16x16 register held
 # at the peak (4 KB, 8 %) falls outside 2 %.
-FUSION_PEAK_BYTES = 52_000
+FUSION_PEAK_BYTES = 51_500
 
 
 def test_fusion_op_traced_peak():
