@@ -5,7 +5,7 @@ import csv
 
 from magrep import network
 from magrep.cli import cmd_sweep
-from magrep.config import RunConfig
+from magrep.config import RunConfig, parse_value
 
 
 def main() -> None:
@@ -15,16 +15,16 @@ def main() -> None:
     ap.add_argument("--channels", default="1,2,4,8,16,30")
     args = ap.parse_args()
 
-    values = [int(v) for v in args.channels.split(",")]
+    values = [parse_value("m_mux", v, None, "--channels") for v in args.channels.split(",")]
     cfg = RunConfig(
         scenario=network.BUILTIN_SCENARIOS["chip-a"],
         hops=4,
         output_dir=args.out,
         pclick_override=args.pclick,
     )
-    files = cmd_sweep(cfg, "mux", [float(v) for v in values])
+    files = cmd_sweep(cfg, "mux", values)
     with open(files[0], newline="", encoding="utf-8") as fh:
-        hop4 = {int(float(row["value"])): row for row in csv.DictReader(fh) if row["hop"] == "4"}
+        hop4 = {int(row["value"]): row for row in csv.DictReader(fh) if row["hop"] == "4"}
 
     print(f"single-channel click probability pinned at {args.pclick}")
     print(f"{'channels':>8s} {'p_hop':>8s} {'P_cum(4 hops)':>14s}")

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import KEYS, ConfigError, RunConfig, load_config, to_number
+from .config import KEYS, ConfigError, RunConfig, load_config, parse_value, stored_unit
 from .params import IntegrationError
 from .svgplot import LineChart
 
@@ -157,22 +157,21 @@ def cmd_chain(cfg: RunConfig) -> list[Path]:
     return files
 
 
-def _sweep_run(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    """The run at one sweep point; the constructors check the swept value's range."""
+def _sweep_run(cfg: RunConfig, axis: str, value) -> RunConfig:
+    """The run at one sweep point; the constructors check the swept value's type and range."""
     if axis not in _SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     spec = KEYS[_SWEEP_FIELDS[axis]]
-    if spec.kind is int:
-        if value != int(value):
-            raise ConfigError(f"{axis} sweep values must be integers, got {value}")
-        value = int(value)
     if spec.owner == "run":
         return cfg.replace(**{spec.field: value})
     return cfg.replace(scenario=cfg.scenario.replace(**{spec.field: value}))
 
 
-def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> list[Path]:
-    """Chain reports across one swept parameter, one CSV row per value per hop."""
+def cmd_sweep(cfg: RunConfig, axis: str, values: list) -> list[Path]:
+    """Chain reports across one swept parameter, one CSV row per value per hop.
+
+    A value has the swept key's type and stored unit: an int for ``mux`` and ``hops``.
+    """
     from . import network
 
     if not values:
@@ -217,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: out)")
     for p in (chain, sweep):
         p.add_argument("--scenario", help="built-in scenario name (chip-a .. metro-c)")
-        p.add_argument("--hops", type=int, help="number of chain hops")
-        p.add_argument("--pclick-override", type=float, dest="pclick_override",
+        p.add_argument("--hops", help="number of chain hops")
+        p.add_argument("--pclick-override", dest="pclick_override",
                        help="pin the single-channel click probability")
     for p in (pair, chain):
         p.add_argument("--format", help="comma-separated outputs, csv and/or svg (default csv); "
@@ -233,29 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults) with the given flags applied; RunConfig validates."""
     cfg = load_config(args.config, args.command) if args.config else RunConfig()
-    overrides = {
-        "hops": args.hops,
-        "output_dir": args.out,
-        "formats": None if args.format is None
-        else tuple(f.strip().lower() for f in args.format.split(",") if f.strip()),
-        "pclick_override": args.pclick_override,
-    }
-    given = {key: value for key, value in overrides.items() if value is not None}
-    if args.scenario is not None:  # only chain and sweep declare --scenario
+    given = {key: parse_value(key, getattr(args, key), None, "--" + key.replace("_", "-"))
+             for key in ("scenario", "hops", "pclick_override")  # each flag read as its config key
+             if getattr(args, key) is not None}
+    if "scenario" in given:  # only chain and sweep declare --scenario
         from . import network
 
-        given["scenario"] = network.get_scenario(args.scenario)
+        given["scenario"] = network.get_scenario(given["scenario"])
+    if args.out is not None:
+        given["output_dir"] = args.out
+    if args.format is not None:
+        given["formats"] = tuple(f.strip().lower() for f in args.format.split(",") if f.strip())
     return cfg.replace(ideal=args.ideal, **given)
-
-
-def _parse_sweep_values(raw: str) -> list[float]:
-    try:
-        values = [to_number(float, tok.strip()) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse sweep values {raw!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"--sweep-values must be finite, got {raw!r}")
-    return values
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -279,7 +267,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "chain":
             files = cmd_chain(cfg)
         else:
-            files = cmd_sweep(cfg, args.sweep_axis, _parse_sweep_values(args.sweep_values))
+            key = _SWEEP_FIELDS[args.sweep_axis]  # each value parsed as the swept key
+            files = cmd_sweep(cfg, args.sweep_axis, [
+                parse_value(key, tok.strip(), stored_unit(key), "--sweep-values")
+                for tok in args.sweep_values.split(",") if tok.strip()
+            ])
     except (ConfigError, ValueError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -10,6 +10,7 @@ error lists the suffixes the key accepts. Physical quantities must carry one
 of: GHz, MHz (frequencies, stored as angular rad/s), ns (times), km, cm
 (lengths), dB_per_km, dB_per_cm (attenuation). A number is an ASCII token
 such as ``-1.5e3``; ``_`` digit separators and non-ASCII digits are refused.
+CLI value flags and sweep values are read by the same :func:`parse_value`.
 Chip-scale cm quantities are normalized into the km lane by scaling the
 attenuation up and the span down by 100, preserving the span loss product.
 
@@ -130,14 +131,13 @@ COMMAND_KEYS = {
 }
 
 
-def to_number(kind: type, token: str):
-    """``kind(token)`` for an ASCII number token; ``_`` separators and other digits are refused."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"not a plain number: {token!r}")
-    return kind(token)
+def stored_unit(key: str) -> str | None:
+    """The suffix of ``key``'s stored unit, the one that converts 1 to 1; None for a bare key."""
+    return next((u for u, convert in (KEYS[key].units or {}).items() if convert(1.0) == 1.0), None)
 
 
-def _parse_value(key: str, token: str, unit: str | None, where: str):
+def parse_value(key: str, token: str, unit: str | None, where: str):
+    """``token`` and its ``unit`` suffix as ``key``'s stored value; errors start with ``where``."""
     spec = KEYS[key]
     convert = None
     if spec.units is None:
@@ -154,7 +154,9 @@ def _parse_value(key: str, token: str, unit: str | None, where: str):
     if spec.kind is str:
         return token
     try:
-        v = to_number(spec.kind, token)
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
+        v = spec.kind(token)
     except ValueError:
         what = "an integer" if spec.kind is int else "a number"
         raise ConfigError(f"{where}: cannot parse {key} = {token!r} as {what}") from None
@@ -187,7 +189,7 @@ def _read_values(text: str, command: str, source: str) -> dict[str, object]:
         if len(tokens) > 2:
             raise ConfigError(f"{where}: too many tokens after '=' for {key!r}")
         unit = tokens[1] if len(tokens) == 2 else None
-        values[key] = _parse_value(key, tokens[0], unit, where)
+        values[key] = parse_value(key, tokens[0], unit, where)
     return values
 
 
@@ -248,7 +250,6 @@ def scenario_to_config(s: ScenarioParams) -> str:
     for key in _INLINE_SCENARIO_KEYS:
         value = getattr(s, KEYS[key].field)
         if value is not None:
-            units = KEYS[key].units or {}  # the stored unit is the one that converts 1 to 1
-            unit = next((f" {u}" for u, convert in units.items() if convert(1.0) == 1.0), "")
-            lines.append(f"{key} = {value}{unit}")
+            unit = stored_unit(key)
+            lines.append(f"{key} = {value}" if unit is None else f"{key} = {value} {unit}")
     return "\n".join(lines) + "\n"

@@ -213,20 +213,20 @@ def embed(op: np.ndarray, space: HilbertSpec, labels: Sequence[str]) -> np.ndarr
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """Factor ``phi`` with ``phi @ phi^dagger == m``, for one Hermitian PSD matrix or a stack.
+    """Factor ``phi`` with ``phi @ phi^dagger == m``, for an ``(n, D, D)`` Hermitian PSD stack.
 
-    ``phi = V diag(sqrt(w))`` from one eigendecomposition, eigenvalues
+    ``phi = V diag(sqrt(w))`` from one batched eigendecomposition, eigenvalues
     ascending. The Hermiticity check (1e-9) is written so that NaN fails it;
     eigenvalues below -1e-9 are rejected and smaller negatives clamped to zero.
     """
-    dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    dev = float(np.max(np.abs(m - m.conj().transpose(0, 2, 1))))
     if not dev <= HERMITIAN_TOL:
         raise ValueError(f"matrix not Hermitian: max deviation {dev:.3e}")
     evals, vecs = np.linalg.eigh(m)
-    low = evals[..., 0].min()
+    low = evals[:, 0].min()
     if not low >= -PSD_TOL:
         raise ValueError(f"matrix not positive semidefinite: min eigenvalue {low:.3e}")
-    return vecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    return vecs * np.sqrt(np.maximum(evals, 0.0))[:, None, :]
 
 
 def _pair_space(labels: Sequence[str]) -> HilbertSpec:
@@ -294,5 +294,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     a, b = rho.matrix, sigma.matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    s = np.linalg.svd(_psd_factor(a).conj().T @ _psd_factor(b), compute_uv=False)
+    phi = _psd_factor(np.stack((a, b)))
+    s = np.linalg.svd(phi[0].conj().T @ phi[1], compute_uv=False)
     return min(1.0, max(0.0, float(s.sum() ** 2)))

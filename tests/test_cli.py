@@ -259,13 +259,14 @@ class TestSweepCommand:
 
     def test_each_axis_sets_its_field(self):
         cfg = RunConfig(scenario=network.BUILTIN_SCENARIOS["metro-c"], hops=3)
-        mux = _sweep_run(cfg, "mux", 8.0)
+        mux = _sweep_run(cfg, "mux", 8)
         assert mux.scenario.m_mux == 8 and isinstance(mux.scenario.m_mux, int)
         assert _sweep_run(cfg, "conv", 0.5).scenario.eta_conv == 0.5
         assert _sweep_run(cfg, "length", 20.0).scenario.l_span == 20.0
-        hops = _sweep_run(cfg, "hops", 7.0)
+        hops = _sweep_run(cfg, "hops", 7)
         assert hops.hops == 7 and hops.scenario == cfg.scenario
-        assert all(_sweep_run(cfg, axis, 1.0).hops == 3 for axis in ("mux", "conv", "length"))
+        assert all(_sweep_run(cfg, axis, value).hops == 3
+                   for axis, value in (("mux", 1), ("conv", 1.0), ("length", 1.0)))
 
     def test_illegal_axis_value_names_axis(self, capsys):
         assert main([
@@ -520,7 +521,8 @@ _FUZZ_LINE = st.one_of(
 )
 _FUZZ_FLAGS = [["--ideal"], ["--format", "csv,svg"], ["--format", "pdf"], ["--hops", "3"],
                ["--hops", "0"], ["--scenario", "metro-c"], ["--scenario", "nowhere"],
-               ["--pclick-override", "0.3"], ["--pclick-override", "nan"]]
+               ["--pclick-override", "0.3"], ["--pclick-override", "nan"], ["--hops", "1_0"],
+               ["--pclick-override", "inf"]]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,

@@ -14,6 +14,7 @@ from magrep.config import (
     load_config,
     parse_config_text,
     scenario_to_config,
+    stored_unit,
 )
 from magrep.network import BUILTIN_SCENARIOS, link_efficiency
 
@@ -130,7 +131,39 @@ def test_sweep_values_refuse_what_a_config_file_refuses(tmp_path, capsys, value)
     out = tmp_path / "out"
     assert main(["sweep", "--sweep-axis", "hops", "--sweep-values", f"2,{value}",
                  "--out", str(out)]) == 2
-    assert "cannot parse sweep values" in capsys.readouterr().err
+    assert "--sweep-values: cannot parse hops = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Every value flag that reads a number and every sweep axis: the command
+# line before the flag, the flag, and the config key its value is parsed as.
+_VALUE_FLAGS = [
+    (["chain"], "--hops", "hops"),
+    (["chain"], "--pclick-override", "pclick_override"),
+    *[(["sweep", "--sweep-axis", axis], "--sweep-values", key)
+      for axis, key in (("mux", "m_mux"), ("conv", "eta_conv"), ("hops", "hops"),
+                        ("length", "span"))],
+]
+
+
+@pytest.mark.parametrize("head, flag, key, token", [
+    pytest.param(head, flag, key, token, id=f"{head[-1]}-{flag}-{token}")
+    for head, flag, key in _VALUE_FLAGS
+    for token in ("1_0", "\u0663", "nan", "inf", *(("8.0", "1e1") if KEYS[key].kind is int else ()))
+])
+def test_value_flags_refuse_what_a_config_line_refuses(tmp_path, capsys, head, flag, key, token):
+    out = tmp_path / "out"
+    value = f"1,{token}" if flag == "--sweep-values" else token
+    assert main([*head, flag, value, "--out", str(out)]) == 2
+    flag_error = capsys.readouterr().err
+    assert flag_error.startswith(f"error: {flag}: ") and key in flag_error
+    cfg = tmp_path / "run.cfg"
+    unit = stored_unit(key)
+    cfg.write_text(f"{key} = {token}{'' if unit is None else ' ' + unit}\n")
+    sweep = ["--sweep-values", "1"] if flag == "--sweep-values" else []
+    assert main([*head, *sweep, "--config", str(cfg), "--out", str(out)]) == 2
+    config_error = capsys.readouterr().err
+    assert flag_error.split(f"{flag}: ", 1)[1] == config_error.split(f"{cfg}:1: ", 1)[1]
     assert not out.exists()
 
 

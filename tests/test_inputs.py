@@ -2,19 +2,21 @@
 
 Each row is one argument of a public constructor or function: the subject its
 message starts with, the values it must refuse, the values it must accept, and
-the call with that argument set. By kind, a count (``params.check_count``)
-refuses NaN, +-inf, True, a fraction and the integer below its minimum; a real
-(``params.check_real``) refuses NaN, +-inf, True and, if bounded, a value
-outside its bound; a probability (``params.check_probability``) refuses NaN,
-+-inf, True, -0.1 and 1.5. Every refusal is a ``ValueError`` whose message
-starts with the subject.
+the call with that argument set. Every kind refuses NaN, +-inf, True,
+``np.True_``, a str and a complex. Besides, a count (``params.check_count``)
+refuses a fraction, an integral float and the integer below its minimum; a
+real (``params.check_real``), if bounded, a value outside its bound; a
+probability (``params.check_probability``) -0.1 and 1.5. Every refusal is a
+``ValueError`` whose message starts with the subject.
 """
 import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
+from magrep.cli import cmd_sweep
 from magrep.config import RunConfig
 from magrep.dynamics import evolve, initial_pair_state
 from magrep.excitation import integrate_pair
@@ -25,14 +27,20 @@ from magrep.params import LindbladParams
 from magrep.qcore import HilbertSpec, werner_state
 from magrep.swap import beam_splitter_unitary, depolarize, heralded_link_probability, swap_time
 
-_NON_FINITE = (math.nan, math.inf, -math.inf)
-_REAL = {">= 0": (*_NON_FINITE, True, -1e-9), "> 0": (*_NON_FINITE, True, 0.0, -1e-9),
-         None: (*_NON_FINITE, True)}
-_PROBABILITY = (*_NON_FINITE, True, -0.1, 1.5)
+_NOT_A_NUMBER = (math.nan, math.inf, -math.inf, True, np.True_, "1", 1j)
+_REAL = {">= 0": (*_NOT_A_NUMBER, -1e-9), "> 0": (*_NOT_A_NUMBER, 0.0, -1e-9),
+         None: _NOT_A_NUMBER}
+_PROBABILITY = (*_NOT_A_NUMBER, -0.1, 1.5)
 
 
 def _count(minimum: int) -> tuple:
-    return (*_NON_FINITE, True, minimum + 0.5, minimum - 1)
+    return (*_NOT_A_NUMBER, minimum + 0.5, float(minimum + 7), minimum - 1)
+
+
+def _sweep(axis: str, value) -> None:
+    """``cmd_sweep`` at one value, writing into a directory removed afterwards."""
+    with tempfile.TemporaryDirectory() as out:
+        cmd_sweep(RunConfig(output_dir=out), axis, [value])
 
 
 _P = LindbladParams()
@@ -86,6 +94,8 @@ TABLE = [
     ("evolve", "t_final", _REAL["> 0"], (1e-9,), lambda v: evolve(initial_pair_state(_P), _P, v)),
     ("evolve", "record_every", _count(1), (1, 7),
      lambda v: evolve(initial_pair_state(_P), _P, 1e-9, record_every=v)),
+    ("cmd_sweep", "m_mux", _count(1), (1, 8), lambda v: _sweep("mux", v)),
+    ("cmd_sweep", "hops", _count(1), (1, 8), lambda v: _sweep("hops", v)),
 ]
 
 

@@ -102,6 +102,15 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(qubit_space("a", "b"), np.eye(4, dtype=complex))
 
+    def test_fidelity_factors_both_states_in_one_stack(self):
+        # one batched eigensolve gives the same bits as one per state
+        singlet = bell_state("psi_minus")
+        for p in (0.0, 0.37, 0.9, 1.0):
+            rho = werner_state(p)
+            phi_a, phi_b = (_psd_factor(s.matrix[None])[0] for s in (rho, singlet))
+            s = np.linalg.svd(phi_a.conj().T @ phi_b, compute_uv=False)
+            assert fidelity(rho, singlet) == min(1.0, max(0.0, float(s.sum() ** 2)))
+
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -217,9 +226,9 @@ class TestEmbed:
         assert matrices_equal(swapped, perm @ op @ perm, atol=1e-12)
 
 
-# The array entry points that factor their argument; both share one check.
+# The array entry points that factor an (n, D, D) stack; both share one check.
 # (concurrence and fidelity take a DensityMatrix, which cannot hold such a matrix.)
-_METRICS = (_psd_factor, lambda m: concurrences(m[None]))
+_METRICS = (_psd_factor, concurrences)
 
 
 def _two_qubit(m) -> DensityMatrix:
@@ -230,15 +239,16 @@ class TestPsdFactor:
     """The one checked eigendecomposition behind concurrence and fidelity."""
 
     def test_identity(self):
-        phi = _psd_factor(np.eye(3))
+        phi = _psd_factor(np.eye(3)[None])[0]
         assert matrices_equal(phi.conj().T @ phi, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
         # eigenvectors are the basis vectors up to phase
-        assert matrices_equal(np.abs(_psd_factor(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]), atol=1e-12)
+        phi = _psd_factor(np.diag([4.0, 9.0])[None])[0]
+        assert matrices_equal(np.abs(phi), np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_pure_state_has_rank_one(self):
-        phi = _psd_factor(bell_state("phi_plus").matrix)
+        phi = _psd_factor(bell_state("phi_plus").matrix[None])[0]
         assert np.max(np.abs(phi[:, :3])) <= 1e-8
         assert abs(np.vdot(phi[:, 3], [1, 0, 0, 1])) ** 2 / 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -247,16 +257,25 @@ class TestPsdFactor:
         phi = _psd_factor(stack)
         assert np.max(np.abs(phi @ phi.conj().swapaxes(1, 2) - stack)) <= 1e-12
 
+    def test_fidelity_factors_both_states_in_one_stack(self):
+        # one batched eigensolve gives the same bits as one per state
+        singlet = bell_state("psi_minus")
+        for p in (0.0, 0.37, 0.9, 1.0):
+            rho = werner_state(p)
+            phi_a, phi_b = (_psd_factor(s.matrix[None])[0] for s in (rho, singlet))
+            s = np.linalg.svd(phi_a.conj().T @ phi_b, compute_uv=False)
+            assert fidelity(rho, singlet) == min(1.0, max(0.0, float(s.sum() ** 2)))
+
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
         for metric in _METRICS:
             with pytest.raises(ValueError, match="positive semidefinite"):
-                metric(m)
+                metric(m[None])
 
     def test_tiny_negative_clamped(self):
         # an eigenvalue of -1e-10 counts as 0: the state acts as the pure |00>
         m = np.diag([1.0 + 1e-10, 0.0, 0.0, -1e-10])
-        assert _psd_factor(m)[3, 0] == 0.0
+        assert _psd_factor(m[None])[0, 3, 0] == 0.0
         assert concurrence(_two_qubit(m)) == 0.0
         pure = _two_qubit(np.diag([1.0, 0.0, 0.0, 0.0]))
         assert fidelity(_two_qubit(m), pure) == pytest.approx(1.0, abs=1e-12)
@@ -266,14 +285,14 @@ class TestPsdFactor:
         m[0, 1] = 1e-6
         for metric in _METRICS:
             with pytest.raises(ValueError, match="Hermitian"):
-                metric(m)
+                metric(m[None])
 
     def test_nan_rejected(self):
         m = np.eye(4) / 4
         m[2, 2] = np.nan
         for metric in _METRICS:
             with pytest.raises(ValueError, match="Hermitian"):
-                metric(m)
+                metric(m[None])
 
 
 class TestBellAndWerner:

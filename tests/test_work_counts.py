@@ -121,14 +121,15 @@ def test_generate_bell_pair_traced_peak(hamiltonian, dim):
 # joint register, bsm's corrected state and the depolarized result (7 x 3);
 # the links mix the singlet projector built once at import, and bsm's
 # projected register and its reduced state are plain arrays. eigvalsh: one
-# per check. eigh: fidelity's two factors and concurrence's one. svd: one
-# each for fidelity and concurrence. np.kron: per swap the tensor_product
-# and the embedded projector (7 x 2); each correction is built once, at import.
+# per check. eigh: one for fidelity's two factors, stacked, and one for
+# concurrence's. svd: one each for fidelity and concurrence. np.kron: per swap
+# the tensor_product and the embedded projector (7 x 2); each correction is
+# built once, at import.
 def test_fusion_op_work(work):
     inputs = fusion_inputs(907)
     for _ in range(3):
         fusion_op(*next(inputs))
-        assert _tally(work) == (30, 30, 3, 2, 14)
+        assert _tally(work) == (30, 30, 2, 2, 14)
 
 
 # tracemalloc peak of one fusion op (the first seed-907 input), in bytes. Its
