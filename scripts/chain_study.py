@@ -2,24 +2,26 @@
 """Four-hop chain study across all six built-in deployment scenarios."""
 import argparse
 import csv
+import sys
 
 from magrep import network
-from magrep.cli import cmd_chain
-from magrep.config import RunConfig
+from magrep.cli import cmd_chain, exit_code_for
+from magrep.config import RunConfig, parse_value
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/chain", help="output directory")
-    ap.add_argument("--hops", type=int, default=4)
+    ap.add_argument("--hops", default="4")
     args = ap.parse_args()
+    hops = parse_value("hops", args.hops, None, "--hops")
 
     print(f"{'scenario':10s} {'p_click':>11s} {'p_hop':>9s} {'P_cum':>11s} "
           f"{'F_final':>8s} usable")
     for name in sorted(network.BUILTIN_SCENARIOS):
         cfg = RunConfig(
             scenario=network.BUILTIN_SCENARIOS[name],
-            hops=args.hops,
+            hops=hops,
             output_dir=f"{args.out}/{name}",
             formats=("csv", "svg"),
         )
@@ -34,4 +36,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exit_code_for(exc))

@@ -2,8 +2,9 @@
 """Trace single-node pair generation, lossy and lossless, and print the peaks."""
 import argparse
 import csv
+import sys
 
-from magrep.cli import cmd_pair
+from magrep.cli import cmd_pair, exit_code_for
 from magrep.config import RunConfig
 
 
@@ -25,4 +26,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exit_code_for(exc))

@@ -238,7 +238,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if "scenario" in given:  # only chain and sweep declare --scenario
         from . import network
 
-        given["scenario"] = network.get_scenario(given["scenario"])
+        try:
+            given["scenario"] = network.get_scenario(given["scenario"])
+        except ValueError as exc:
+            raise ConfigError(f"--scenario: {exc}") from None
     if args.out is not None:
         given["output_dir"] = args.out
     if args.format is not None:

@@ -11,7 +11,7 @@ least a minimum), :func:`check_real` (finite; ``>= 0``, ``> 0`` or any sign)
 and :func:`check_probability` (in [0, 1], NaN outside). A str, complex or
 numpy bool fails ``isinstance(v, numbers.Real)`` and is refused by name too.
 On a 2-vCPU VM (Python 3.11) that test costs about 0.4 us a call, so the 15
-probability checks of a swap-fusion op spend about 6 us of its 1.8 ms.
+probability checks of a swap-fusion op spend about 6 us of its 1.6 ms.
 
 Units: all frequencies and rates are angular (rad/s).
 """

@@ -9,6 +9,7 @@ storage is unapologetically dense.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -80,9 +81,25 @@ class HilbertSpec(Value):
         raise ValueError(f"unknown subsystem label {label!r}; have {self.labels}")
 
 
+# A fusion op builds 23 register specs from 22 distinct subsystem tuples, the
+# same in every op, so each tuple is built and checked once and the spec shared.
+# Keys are normalized subsystems (str labels, int dims), as a spec stores them,
+# so equal keys mean equal specs. 256 entries hold that working set more than
+# ten times over, yet a caller that labels every register afresh keeps at most
+# about 0.3 MB of specs (1.2 KB each at four qubits, key included).
+@functools.lru_cache(maxsize=256)
+def _shared_space(subsystems: tuple[tuple[str, int], ...]) -> HilbertSpec:
+    return HilbertSpec(subsystems)
+
+
 def qubit_space(*labels: str) -> HilbertSpec:
-    """Spec for a register of two-level subsystems with the given labels."""
-    return HilbertSpec(tuple((lbl, 2) for lbl in labels))
+    """Spec for a register of two-level subsystems with the given labels.
+
+    Register spaces are shared: an equal spec built earlier may be returned,
+    from a cache bounded at 256 subsystem tuples. A spec is immutable, so only
+    its identity, which is no contract, tells a shared one from a fresh one.
+    """
+    return _shared_space(tuple((str(lbl), 2) for lbl in labels))
 
 
 def basis_ket(space: HilbertSpec, occupations: Sequence[int]) -> np.ndarray:
@@ -148,11 +165,15 @@ _QUARTER_IDENTITY = _readonly(np.eye(4, dtype=complex) / 4.0)
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Joint state of two independent registers; labels must not collide."""
+    """Joint state of two independent registers; labels must not collide.
+
+    The joint space is shared, as :func:`qubit_space`'s are, through the same
+    bounded cache.
+    """
     clash = set(a.space.labels) & set(b.space.labels)
     if clash:
         raise ValueError(f"label collision in tensor product: {sorted(clash)}")
-    space = HilbertSpec(a.space.subsystems + b.space.subsystems)
+    space = _shared_space(a.space.subsystems + b.space.subsystems)
     return DensityMatrix(space, np.kron(a.matrix, b.matrix))
 
 
@@ -178,7 +199,7 @@ def _trace_out(
     for ax in sorted(drop, reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + k)
         k -= 1
-    kept = HilbertSpec(tuple(space.subsystems[i] for i in keep_pos))
+    kept = _shared_space(tuple(space.subsystems[i] for i in keep_pos))
     return kept, t.reshape(kept.dim, kept.dim)
 
 

@@ -195,6 +195,7 @@ class TestChainCommand:
     def test_unknown_scenario_exit_code(self, capsys):
         assert main(["chain", "--scenario", "nowhere"]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: --scenario: unknown scenario 'nowhere'")
         assert "chip-a" in err and "metro-c" in err
 
 

@@ -1,5 +1,6 @@
 """Linear algebra primitives, state constructors and the two resource metrics."""
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from magrep.qcore import (
 from helpers import (
     bell_state_from_ket,
     concurrence_oracle,
+    fusion_inputs,
+    fusion_op,
     ginibre_matrix,
     matrices_equal,
     random_two_qubit,
@@ -89,6 +92,56 @@ class TestHilbertSpec:
     def test_replace_recomputes_the_shape(self):
         spec = HilbertSpec((("a", 2), ("b", 3))).replace(subsystems=(("c", 4), ("d", 5), ("e", 2)))
         assert (spec.labels, spec.dims, spec.dim) == (("c", "d", "e"), (4, 5, 2), 40)
+
+
+class TestSharedSpaces:
+    """Register specs from qubit_space, tensor_product and partial traces, shared through one cache."""
+
+    def test_cache_holds_at_most_its_bound(self):
+        for i in range(10_000):
+            qubit_space(f"x{i}")
+        info = qcore._shared_space.cache_info()
+        assert info.maxsize == 256 and info.currsize == 256
+
+    def test_shared_spec_is_a_fresh_spec(self):
+        joint = tensor_product(werner_state(0.9, ("a", "b")), werner_state(0.8, ("c", "d")))
+        shared = [qubit_space("a", "b"), joint.space, partial_trace(joint, ["d", "a"]).space]
+        fresh = [HilbertSpec((("a", 2), ("b", 2))),
+                 HilbertSpec((("a", 2), ("b", 2), ("c", 2), ("d", 2))),
+                 HilbertSpec((("a", 2), ("d", 2)))]
+        for s, f in zip(shared, fresh):
+            assert s == f and hash(s) == hash(f) and repr(s) == repr(f)
+            assert (s.labels, s.dims, s.dim) == (f.labels, f.dims, f.dim)
+
+    def test_labels_are_read_as_str_before_the_lookup(self):
+        # 1 == True and they hash alike, but their labels differ
+        assert qubit_space(1, "b").labels == ("1", "b")
+        assert qubit_space(True, "b").labels == ("True", "b")
+
+    @pytest.mark.parametrize("labels", [(), ("a", "a")])
+    def test_a_refused_space_is_refused_every_time(self, labels):
+        with pytest.raises(ValueError) as direct:
+            HilbertSpec(tuple((lbl, 2) for lbl in labels))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+                qubit_space(*labels)
+
+    def test_fusion_results_do_not_depend_on_the_cache(self, monkeypatch):
+        def run():
+            spaces = []
+
+            def recording(rho, sigma):
+                spaces.append((rho.space, sigma.space))
+                return fidelity(rho, sigma)
+
+            with monkeypatch.context() as m:
+                m.setattr(qcore, "fidelity", recording)
+                results = [fusion_op(*inp) for inp in islice(fusion_inputs(907), 200)]
+            return [(mat.tobytes(), repr(fid), repr(conc)) for mat, fid, conc in results], spaces
+
+        cached = run()
+        monkeypatch.setattr(qcore, "_shared_space", HilbertSpec)
+        assert run() == cached
 
 
 class TestDensityMatrix:

@@ -4,10 +4,10 @@ Wall time on a shared machine cannot resolve a change of one eigensolve in a
 few milliseconds; these counts can. Each pinned tuple is (DensityMatrix
 checks, ``eigvalsh``, ``eigh``, ``svd``, ``np.kron``) per operation. A change
 that removes a check, a decomposition or a Kronecker product lowers them, and
-updates the pins on purpose. The
-memory pins are ``tracemalloc`` peaks, which numpy's array allocations report
-to, so they too repeat on every run of one input (the fusion op's, only when
-measured cold; see there).
+updates the pins on purpose. ``HilbertSpec`` constructions are counted too,
+outside the tuple. The memory pins are ``tracemalloc`` peaks, which numpy's
+array allocations report to, so they too repeat on every run of one input
+(the fusion op's, only when measured cold; see there).
 """
 import gc
 import tracemalloc
@@ -35,6 +35,8 @@ def work(monkeypatch) -> Counter:
 
     check = qcore.DensityMatrix.__post_init__
     monkeypatch.setattr(qcore.DensityMatrix, "__post_init__", counting("checks", check))
+    spec = qcore.HilbertSpec.__post_init__
+    monkeypatch.setattr(qcore.HilbertSpec, "__post_init__", counting("specs", spec))
     for name in _SOLVERS:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np, "kron", counting("kron", np.kron))
@@ -132,14 +134,27 @@ def test_fusion_op_work(work):
         assert _tally(work) == (30, 30, 2, 2, 14)
 
 
+# A fusion op's 23 register specs come from 22 subsystem tuples, the same in
+# every op; qcore builds each tuple's spec once, so a warm op builds none.
+def test_warm_fusion_op_builds_no_space(work):
+    inputs = fusion_inputs(907)
+    fusion_op(*next(inputs))
+    work.clear()
+    for _ in range(3):
+        fusion_op(*next(inputs))
+    assert work["specs"] == 0
+
+
 # tracemalloc peak of one fusion op (the first seed-907 input), in bytes. Its
 # arrays are 4 KB registers, so Python objects are a large share of it, and
 # how many of them the interpreter's free lists serve depends on what ran
 # before: a warm peak read 6 KB less inside the full suite than alone. So
-# each call is measured cold, and the pin is the largest of seven calls; that
-# read 51.2-51.7 KB alone and after other tests. One more 16x16 register held
-# at the peak (4 KB, 8 %) falls outside 2 %.
-FUSION_PEAK_BYTES = 51_500
+# each call is measured cold, and the pin is the largest of seven calls; in
+# 18 fresh processes, 12 alone and 6 after the rest of the suite, that read
+# 43,902-44,452 B. Register specs are shared (qcore's bounded cache), so
+# none is built at the peak. One more 16x16 register held at the peak
+# (4,096 B, 9.3 % of the pin) falls outside 2 %.
+FUSION_PEAK_BYTES = 44_200
 
 
 def test_fusion_op_traced_peak():
